@@ -17,15 +17,31 @@ from .gof_stats import (CountVector, SampleBatch, ks_statistic, laplace_lrt,
                         parse_reals, pearson_chi2, sample_median, sign_count)
 from .calibrators import (TableBundle, calibrate_chi2, calibrate_contingency,
                           calibrate_fisher, calibrate_ks, calibrate_sign,
-                          emit_tables, write_tables)
+                          emit_tables, plugin_threshold, write_tables)
 from .sanov_rates import (BahadurSlopes, DecaySpec, HalfSpaceSolution,
                           TiltedHalfSpace, bahadur_slopes,
                           distinguishability_radius, half_space_rate,
                           load_half_space, mdp_truncation_level)
 from .triangulation import MultinomialEvidence, evidence_bundle, wilks_gap
-from .mc_engine import (ExponentFit, McConfig, McRiskResult, McRun, PriorSpec,
-                        estimate_prior_exponent, fit_power_law, load_mc_config,
-                        load_exponent_config, mc_bayes_risk, plugin_threshold,
-                        substream, write_mc_csv)
 
 __version__ = "0.1.0"
+
+# The Monte-Carlo names live in mc_engine, the only module that needs numpy.
+# They are imported on first access (PEP 562) so that the closed-form API and
+# CLI never pay for numpy.
+_MC_NAMES = ("ExponentFit", "McConfig", "McRiskResult", "McRun", "PriorSpec",
+             "estimate_prior_exponent", "fit_power_law", "load_mc_config",
+             "load_exponent_config", "mc_bayes_risk", "substream", "write_mc_csv")
+
+
+def __getattr__(name):
+    if name in _MC_NAMES:
+        from . import mc_engine
+        value = getattr(mc_engine, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MC_NAMES))

@@ -3,7 +3,8 @@
 Each calibrator maps problem parameters to a ThresholdReport: the KS test
 (rho=1), the Laplace sign test (rho=1/4), multinomial chi-squared and
 contingency-table independence (rho=1/4, kappa = degrees of freedom), and the
-Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  All reported
+Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  The
+plug-in threshold for an estimated kappa lives here too.  All reported
 thresholds are leading-order; log log n correction terms are intentionally
 dropped.
 """
@@ -45,7 +46,7 @@ def calibrate_ks(kappa: float, n: int) -> ThresholdReport:
 
 def calibrate_sign(lam: float, n: int) -> ThresholdReport:
     """Sign-test calibration: reject when the count exceeds n/2 + sqrt(lam n ln n)/2."""
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     problem = CalibrationProblem(rho=0.25, kappa=lam, n=n)
     count_threshold = n / 2.0 + 0.5 * math.sqrt(lam * n * math.log(n))
@@ -99,6 +100,15 @@ def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
         "d": int(d),
         "radius": math.sqrt(kappa * math.log(n) / n),
     })
+
+
+def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
+    """Asymptotic plug-in threshold sqrt(kappa_hat / (4 rho) * ln n)."""
+    if not (kappa_hat > 0 and rho > 0):
+        raise DomainError("kappa_hat and rho must be positive")
+    if n < 2 or int(n) != n:
+        raise DomainError(f"n must be an integer >= 2, got {n}")
+    return math.sqrt(kappa_hat / (4.0 * rho) * math.log(n))
 
 
 @dataclass(frozen=True)

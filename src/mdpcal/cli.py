@@ -21,11 +21,9 @@ import sys
 from . import __version__
 from .calibrators import (calibrate_chi2, calibrate_contingency,
                           calibrate_fisher, calibrate_ks, calibrate_sign,
-                          emit_tables, write_tables)
+                          emit_tables, plugin_threshold, write_tables)
 from .errors import DomainError
 from .gof_stats import parse_counts, parse_reals
-from .mc_engine import (estimate_prior_exponent, load_exponent_config,
-                        load_mc_config, mc_bayes_risk, plugin_threshold)
 from .risk_core import CalibrationProblem, numeric_minimiser, regime_series
 from .sanov_rates import (DecaySpec, bahadur_slopes, distinguishability_radius,
                           half_space_rate, load_half_space,
@@ -232,6 +230,8 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    # mc_engine pulls in numpy; only the Monte-Carlo subcommands import it.
+    from .mc_engine import load_mc_config, mc_bayes_risk
     run = load_mc_config(args.config)
     cfg = dataclasses.replace(run.config, seed=_seed_override(run.config.seed))
     result = mc_bayes_risk(run.prior, cfg, run.statistic, w0=run.w0, w1=run.w1)
@@ -262,6 +262,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_prior_exponent(args) -> int:
+    from .mc_engine import estimate_prior_exponent, load_exponent_config
     run = load_exponent_config(args.config)
     seed = _seed_override(run.seed)
     fit = estimate_prior_exponent(run.prior, run.radii, run.m, seed)

@@ -267,15 +267,6 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
     return fit_power_law(radii, probs)
 
 
-def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
-    """Asymptotic plug-in threshold sqrt(kappa_hat / (4 rho) * ln n)."""
-    if kappa_hat <= 0 or rho <= 0:
-        raise DomainError("kappa_hat and rho must be positive")
-    if n < 2 or int(n) != n:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
-    return math.sqrt(kappa_hat / (4.0 * rho) * math.log(n))
-
-
 def _prior_from_json(payload: dict) -> PriorSpec:
     try:
         return PriorSpec(

@@ -35,13 +35,14 @@ class CalibrationProblem:
     w1: float = 1.0
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # Written as "not x > 0" so that NaN is rejected too.
+        if not self.rho > 0:
             raise DomainError(f"rho must be positive, got {self.rho}")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
         if self.n < 2 or int(self.n) != self.n:
             raise DomainError(f"n must be an integer >= 2, got {self.n}")
-        if self.w0 <= 0 or self.w1 <= 0:
+        if not (self.w0 > 0 and self.w1 > 0):
             raise DomainError("error-cost weights must be positive")
 
     @property
@@ -87,13 +88,14 @@ def template_risk(p: CalibrationProblem, a: float) -> RiskTerms:
     """Evaluate the two-term risk at threshold parameter ``a``.
 
     Type-II is clamped at 1 once a*ln n/n >= 1, where the asymptotic mass
-    formula stops being a probability.
+    formula stops being a probability.  The base is clamped before the power,
+    so a huge kappa cannot overflow.
     """
     if a <= 0:
         raise DomainError(f"threshold parameter a must be positive, got {a}")
     log_n = math.log(p.n)
     type1 = math.exp(-2.0 * p.rho * a * log_n)
-    type2 = min(1.0, (a * log_n / p.n) ** (p.kappa / 2.0))
+    type2 = min(1.0, a * log_n / p.n) ** (p.kappa / 2.0)
     return RiskTerms(type1, type2, p.w0 * type1 + p.w1 * type2)
 
 

@@ -143,7 +143,7 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
 def mdp_truncation_level(kappa: float, n: int) -> float:
     """Effective KL exponent (kappa/2) * ln n / n of the Bayes-optimal
     rejection set."""
-    if kappa <= 0:
+    if not kappa > 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     if n < 2 or int(n) != n:
         raise DomainError(f"n must be an integer >= 2, got {n}")

@@ -130,7 +130,11 @@ def chi2_cdf(x: float, df: int) -> float:
 
 
 def chi2_quantile(p: float, df: int) -> float:
-    """Inverse chi-squared CDF by bisection to 1e-9."""
+    """Inverse chi-squared CDF by bisection to max(1e-9, 1e-15 * hi).
+
+    The relative floor keeps the width above float spacing for df beyond ~1e6,
+    where an absolute 1e-9 can never be reached.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
     if df < 1 or int(df) != df:
@@ -138,7 +142,7 @@ def chi2_quantile(p: float, df: int) -> float:
     lo, hi = 0.0, float(df) + 10.0
     while chi2_cdf(hi, df) < p:
         hi *= 2.0
-    while hi - lo > 1e-9:
+    while hi - lo > max(1e-9, 1e-15 * hi):
         mid = 0.5 * (lo + hi)
         if chi2_cdf(mid, df) < p:
             lo = mid
@@ -161,13 +165,19 @@ def _xlogx_ratio(p: float, q: float) -> float:
     return p * math.log(p / q)
 
 
+def _clamp_rounding(kl: float) -> float:
+    # Rounding can leave a sum like -1.1e-16 where p and q (nearly) agree;
+    # KL is nonnegative.  NaN passes through.
+    return 0.0 if kl < 0.0 else kl
+
+
 def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q)."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be a probability, got {p}")
     if not 0.0 <= q <= 1.0:
         raise DomainError(f"q must be a probability, got {q}")
-    return _xlogx_ratio(p, q) + _xlogx_ratio(1.0 - p, 1.0 - q)
+    return _clamp_rounding(_xlogx_ratio(p, q) + _xlogx_ratio(1.0 - p, 1.0 - q))
 
 
 def kl_multinomial(p, q) -> float:
@@ -183,4 +193,4 @@ def kl_multinomial(p, q) -> float:
         raise DomainError("probability vectors must be nonnegative")
     if abs(sum(p) - 1.0) > _SIMPLEX_TOL:
         raise DomainError(f"p must lie on the simplex, sums to {sum(p)}")
-    return sum(_xlogx_ratio(pj, qj) for pj, qj in zip(p, q))
+    return _clamp_rounding(sum(_xlogx_ratio(pj, qj) for pj, qj in zip(p, q)))

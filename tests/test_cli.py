@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import math
+import time
 
 import pytest
 
@@ -58,6 +60,30 @@ class TestCalibrate:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_usage_error_does_not_carry_over(self, capsys):
+        # A failed parse must leave main() able to parse the next argv.
+        code, out, err = run_cli(capsys, "calibrate", "ks", "--kappa", "x", "--n", "100")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+        payload = run_json(capsys, "calibrate", "ks", "--kappa", "2", "--n", "10000")
+        assert payload["t_star"] == pytest.approx(2.146, abs=1e-3)
+
+    def test_nan_lambda_is_domain_error(self, capsys):
+        code, out, _ = run_cli(capsys, "calibrate", "sign", "--lambda", "nan", "--n", "100")
+        assert code == 2
+        assert out == ""
+
+    def test_huge_contingency_table_terminates(self, capsys):
+        start = time.perf_counter()
+        payload = run_json(capsys, "calibrate", "contingency", "--r", "3200", "--c", "3200",
+                           "--n", "100000")
+        assert time.perf_counter() - start < 2.0
+        assert payload["params"]["nu"] == 3199 ** 2
+        for key in ("a_star", "t_star", "alpha_star", "risk_star"):
+            assert math.isfinite(payload[key])
+        assert math.isfinite(payload["params"]["chi2_fixed_alpha"])
 
     def test_precision_flag(self, capsys):
         payload = run_json(capsys, "calibrate", "ks", "--kappa", "2", "--n", "10000",
@@ -132,6 +158,11 @@ class TestSmallCommands:
         payload = run_json(capsys, "truncation", "--kappa", "2", "--n", "10000")
         assert payload["level"] == pytest.approx(9.2103e-4, abs=1e-7)
 
+    def test_truncation_nan_kappa_is_domain_error(self, capsys):
+        code, out, _ = run_cli(capsys, "truncation", "--kappa", "nan", "--n", "100")
+        assert code == 2
+        assert out == ""
+
     def test_radius_poly(self, capsys):
         payload = run_json(capsys, "radius", "--rho", "1", "--poly", "1", "--n", "100")
         assert payload["radius"] == pytest.approx(0.15175, abs=1e-5)
@@ -149,6 +180,11 @@ class TestSmallCommands:
         payload = run_json(capsys, "plugin", "--kappa-hat", "2", "--rho", "1",
                            "--n", "10000")
         assert payload["threshold"] == pytest.approx(2.146, abs=1e-3)
+
+    def test_plugin_nan_kappa_is_domain_error(self, capsys):
+        code, _, _ = run_cli(capsys, "plugin", "--kappa-hat", "nan", "--rho", "1",
+                             "--n", "100")
+        assert code == 2
 
 
 class TestTriangulate:

@@ -50,6 +50,16 @@ class TestTemplateRisk:
         terms = template_risk(p, 1000.0)
         assert terms.type2 == 1.0
 
+    def test_huge_kappa_does_not_overflow(self):
+        p = CalibrationProblem(rho=0.25, kappa=10.0 ** 7, n=10 ** 6)
+        assert template_risk(p, p.a_star).type2 == 1.0
+
+    def test_nan_parameters_rejected(self):
+        for kwargs in ({"rho": math.nan}, {"kappa": math.nan}, {"w0": math.nan},
+                       {"w1": math.nan}):
+            with pytest.raises(DomainError):
+                CalibrationProblem(**{"rho": 1.0, "kappa": 2.0, "n": 100, **kwargs})
+
     def test_domain_errors(self):
         p = CalibrationProblem(rho=1.0, kappa=2.0, n=100)
         with pytest.raises(DomainError):

@@ -79,6 +79,13 @@ class TestChi2:
                 assert regularized_gamma_p(a, x) == pytest.approx(
                     float(special.gammainc(a, x)), rel=1e-12, abs=1e-300)
 
+    def test_huge_df_quantile_against_scipy(self):
+        # An absolute 1e-9 bisection width is below float spacing here.
+        stats = pytest.importorskip("scipy.stats")
+        df = 3199 ** 2
+        assert chi2_quantile(0.95, df) == pytest.approx(
+            float(stats.chi2.ppf(0.95, df)), rel=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chi2_cdf(-1.0, 2)
@@ -113,6 +120,14 @@ class TestKL:
         assert kl_bernoulli(0.5, 0.0) == math.inf
         # zero p on zero q contributes nothing
         assert kl_multinomial((1.0, 0.0), (1.0, 0.0)) == 0.0
+
+    def test_rounding_cannot_make_kl_negative(self):
+        # The unclamped sums are -1.1e-16 and -6.7e-17 here.
+        assert kl_multinomial([0.5, 0.4999999999999999], [0.5, 0.5]) == 0.0
+        assert kl_bernoulli(0.6515929727227628, 0.651592972722763) == 0.0
+
+    def test_nan_is_not_clamped(self):
+        assert math.isnan(kl_multinomial((0.5, 0.5), (math.nan, 0.5)))
 
     def test_dimension_and_simplex_validation(self):
         with pytest.raises(DomainError):
