@@ -33,11 +33,18 @@ FISHER_TABLE_NS = (100, 1_000, 10_000, 100_000)
 
 
 def calibrate_ks(kappa: float, n: int) -> ThresholdReport:
-    """Bayes-optimal KS threshold sqrt(kappa * ln n / 4) on sqrt(n)*S_n."""
+    """Bayes-optimal KS threshold sqrt(kappa * ln n / 4) on sqrt(n)*S_n.
+
+    ``params["fixed_alpha_crossing_n"]`` is the smallest n at which this
+    threshold passes the fixed-alpha quantile; it is ``math.inf`` when that n
+    lies beyond float range (small kappa, e.g. 1e-3).
+    """
     problem = CalibrationProblem(rho=1.0, kappa=kappa, n=n)
     fixed_quantile = kolmogorov_quantile(FIXED_ALPHA)
-    # Smallest n at which the growing threshold passes the fixed-alpha value.
-    crossing_n = math.ceil(math.exp(4.0 * fixed_quantile ** 2 / kappa))
+    try:
+        crossing_n = math.ceil(math.exp(4.0 * fixed_quantile ** 2 / kappa))
+    except OverflowError:
+        crossing_n = math.inf
     return analytic_optimum(problem, setting="ks", params={
         "fixed_alpha_quantile": fixed_quantile,
         "fixed_alpha_crossing_n": crossing_n,

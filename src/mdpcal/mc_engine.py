@@ -2,10 +2,15 @@
 
 Randomness comes from numpy's Philox counter-based generator with one
 substream per (replicate index, draw kind), so estimates are bit-reproducible
-regardless of execution order.  The Laplace-location prior theta^(lambda-1)
-exp(-gamma theta) on (0, truncation] is sampled by inverse CDF built on the
-regularized incomplete gamma kernel.  Plain Monte Carlo only: estimates carry
-binomial standard errors, no importance sampling.
+regardless of execution order.  ``mc_bayes_risk`` builds one Philox per draw
+kind and re-keys it to each replicate's fresh substream state, which gives the
+same bits as building ``substream(seed, kind, index)`` anew at a fraction of
+the cost.  Replicate rows are generated into one reused block of about 2^18
+doubles and reduced to their statistics block by block, so memory is
+O(block + m), never the full m x n matrix.  The Laplace-location prior
+theta^(lambda-1) exp(-gamma theta) on (0, truncation] is sampled by inverse
+CDF built on the regularized incomplete gamma kernel.  Plain Monte Carlo only:
+estimates carry binomial standard errors, no importance sampling.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +38,9 @@ _KIND_PRIOR_PROBE = 3
 
 _SAMPLER_GRID = 20_001
 
+# Doubles per statistic block; a row longer than this gets a block of its own.
+_BLOCK_DOUBLES = 1 << 18
+
 STATISTICS = ("ks", "sign")
 
 
@@ -48,8 +56,9 @@ class PriorSpec:
     def __post_init__(self):
         if self.family != "laplace-location":
             raise DomainError(f"unsupported prior family {self.family!r}")
-        if self.lambda_ <= 0 or self.gamma_rate <= 0 or self.truncation <= 0:
-            raise DomainError("lambda, gamma_rate and truncation must be positive")
+        # Written as "not 0 < x < inf" so that NaN is rejected too.
+        if not all(0 < x < math.inf for x in (self.lambda_, self.gamma_rate, self.truncation)):
+            raise DomainError("lambda, gamma_rate and truncation must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,8 @@ class McConfig:
         grid = tuple(float(t) for t in self.threshold_grid)
         if not grid:
             raise DomainError("threshold grid must be nonempty")
+        if not all(math.isfinite(t) for t in grid):
+            raise DomainError("threshold grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("threshold grid must be strictly increasing")
         object.__setattr__(self, "threshold_grid", grid)
@@ -81,11 +92,37 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def substream(seed: int, kind: int, index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, draw kind, replicate index)."""
+def _substream_key(seed: int, kind: int, index: int) -> tuple[int, int]:
+    # splitmix-derived Philox key of the (seed, draw kind, replicate index) substream
     w0 = _mix64((seed & _MASK64) ^ ((kind + 1) * _GOLDEN))
     w1 = _mix64(w0 ^ (index * 0x632BE59BD9B4E019 + 0xD1B54A32D192ED03))
-    return np.random.Generator(np.random.Philox(key=np.array([w0, w1], dtype=np.uint64)))
+    return w0, w1
+
+
+def substream(seed: int, kind: int, index: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, draw kind, replicate index)."""
+    key = np.array(_substream_key(seed, kind, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _substreams(seed: int, kind: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield, for index 0..count-1, one reused generator in the state of
+    ``substream(seed, kind, index)`` as built.
+
+    Each step sets the whole Philox state (key, zero counter, empty buffer, no
+    pending 32-bit word), so nothing the previous replicate left carries over.
+    """
+    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    key = np.zeros(2, dtype=np.uint64)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for index in range(count):
+        key[:] = _substream_key(seed, kind, index)
+        bit_gen.state = fresh
+        yield gen
 
 
 class _TruncatedGammaSampler:
@@ -139,6 +176,22 @@ def _sign_rows(data: np.ndarray) -> np.ndarray:
 _STAT_FN = {"ks": _ks_rows, "sign": _sign_rows}
 
 
+def _replicate_statistics(stat_fn, seed: int, kind: int, locs: np.ndarray,
+                          n: int) -> np.ndarray:
+    """Statistic of each replicate row Laplace(locs[i], 1)^n drawn from
+    substream (seed, kind, i), computed over row blocks of one reused buffer."""
+    m = len(locs)
+    rows = max(1, _BLOCK_DOUBLES // n)
+    block = np.empty((min(rows, m), n))
+    stats = np.empty(m)
+    for i, gen in enumerate(_substreams(seed, kind, m)):
+        r = i % rows
+        block[r] = gen.laplace(loc=locs[i], scale=1.0, size=n)
+        if r == rows - 1 or i == m - 1:
+            stats[i - r:i + 1] = stat_fn(block[:r + 1])
+    return stats
+
+
 @dataclass(frozen=True)
 class McRiskResult:
     """Per-threshold Monte-Carlo error estimates with binomial standard errors."""
@@ -166,29 +219,19 @@ def mc_bayes_risk(prior: PriorSpec, cfg: McConfig, statistic: str,
     """
     if statistic not in STATISTICS:
         raise DomainError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    if w0 <= 0 or w1 <= 0:
-        raise DomainError("error-cost weights must be positive")
+    if not (0 < w0 < math.inf and 0 < w1 < math.inf):
+        raise DomainError("error-cost weights must be positive and finite")
     stat_fn = _STAT_FN[statistic]
     sampler = _sampler_for(prior)
-    n = cfg.n
 
-    thetas = np.empty(cfg.m_alternatives)
-    for m in range(cfg.m_alternatives):
-        gen = substream(cfg.seed, _KIND_PRIOR_DRAW, m)
-        thetas[m] = sampler.inverse(gen.random(1))[0]
+    u = np.fromiter((gen.random() for gen in
+                     _substreams(cfg.seed, _KIND_PRIOR_DRAW, cfg.m_alternatives)),
+                    dtype=float, count=cfg.m_alternatives)
+    thetas = sampler.inverse(u)
 
-    alt = np.empty((cfg.m_alternatives, n))
-    for m in range(cfg.m_alternatives):
-        gen = substream(cfg.seed, _KIND_ALT_DATA, m)
-        alt[m] = gen.laplace(loc=thetas[m], scale=1.0, size=n)
-
-    null = np.empty((cfg.m_null, n))
-    for j in range(cfg.m_null):
-        gen = substream(cfg.seed, _KIND_NULL_DATA, j)
-        null[j] = gen.laplace(loc=0.0, scale=1.0, size=n)
-
-    t_alt = np.sort(stat_fn(alt))
-    t_null = np.sort(stat_fn(null))
+    t_alt = np.sort(_replicate_statistics(stat_fn, cfg.seed, _KIND_ALT_DATA, thetas, cfg.n))
+    t_null = np.sort(_replicate_statistics(stat_fn, cfg.seed, _KIND_NULL_DATA,
+                                           np.zeros(cfg.m_null), cfg.n))
 
     grid = np.asarray(cfg.threshold_grid)
     # alpha(t) = P(T0 > t), beta(t) = P(T1 <= t); same draws across thresholds.

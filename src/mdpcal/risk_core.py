@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -40,7 +41,11 @@ class CalibrationProblem:
             raise DomainError(f"rho must be positive, got {self.rho}")
         if not self.kappa > 0:
             raise DomainError(f"kappa must be positive, got {self.kappa}")
-        if self.n < 2 or int(self.n) != self.n:
+        # n must convert to a float, which every risk formula needs; the value
+        # is not shown, as a huge int prints with hundreds of digits.
+        if self.n > sys.float_info.max:
+            raise DomainError(f"n must be at most {sys.float_info.max:.4g}")
+        if not self.n >= 2 or int(self.n) != self.n:
             raise DomainError(f"n must be an integer >= 2, got {self.n}")
         if not (self.w0 > 0 and self.w1 > 0):
             raise DomainError("error-cost weights must be positive")

@@ -39,6 +39,15 @@ class TestCalibrateKs:
         t_values = [calibrate_ks(2, n).t_star for n in (100, 10_000, 10**8)]
         assert t_values == sorted(t_values)
 
+    def test_n_beyond_float_range_is_domain_error(self):
+        with pytest.raises(DomainError):
+            calibrate_ks(2, 10**400)
+
+    def test_crossing_beyond_float_range_is_inf(self):
+        report = calibrate_ks(1e-3, 100)
+        assert report.params["fixed_alpha_crossing_n"] == math.inf
+        assert report.t_star == pytest.approx(math.sqrt(1e-3 * math.log(100) / 4), rel=1e-12)
+
 
 class TestCalibrateSign:
     def test_count_threshold_formula(self):

@@ -243,6 +243,15 @@ class TestMcCommands:
         assert payload_default["beta_hat"] != payload_other["beta_hat"]
         assert payload_other["seed"] == 99
 
+    def test_nan_prior_field_is_domain_error(self, capsys, mc_config):
+        payload = json.loads(mc_config.read_text())
+        payload["prior"]["lambda"] = math.nan
+        mc_config.write_text(json.dumps(payload))  # written as the JSON token NaN
+        code, out, err = run_cli(capsys, "mc", "--config", str(mc_config))
+        assert code == 2
+        assert out == ""
+        assert "lambda" in err
+
     def test_prior_exponent_command(self, capsys, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({

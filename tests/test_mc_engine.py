@@ -1,7 +1,10 @@
 """Monte-Carlo engine: determinism, oracles, prior-exponent recovery."""
 
+import dataclasses
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from mdpcal import (DomainError, McConfig, PriorSpec, SampleBatch,
                     load_exponent_config, load_mc_config, mc_bayes_risk,
                     plugin_threshold, regularized_gamma_p, substream,
                     write_mc_csv)
-from mdpcal.mc_engine import _ks_rows, _laplace_cdf
+from mdpcal.mc_engine import _ks_rows, _laplace_cdf, _substreams
 
 GRID = tuple(0.5 + 0.05 * i for i in range(111))  # 0.5 .. 6.0
 
@@ -43,6 +46,52 @@ class TestDeterminism:
     def test_substreams_are_distinct(self):
         draws = {substream(7, kind, idx).random() for kind in range(3) for idx in range(4)}
         assert len(draws) == 12
+
+    def test_rekeyed_generator_matches_fresh_substream(self):
+        def draws(gen):
+            return (gen.integers(0, 1000, size=3, dtype=np.uint32), gen.random(),
+                    gen.laplace(0.5, 1.0, 3), gen.random(3))
+
+        for kind in range(4):
+            for index, gen in enumerate(_substreams(2**64 + 9, kind, 5)):
+                fresh = substream(2**64 + 9, kind, index)
+                for ours, reference in zip(draws(gen), draws(fresh)):
+                    assert np.array_equal(ours, reference)
+                # The replicate leaves a partly used buffer and a pending
+                # 32-bit half word; the next re-key must drop both.
+                state = gen.bit_generator.state
+                assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+
+
+class TestBlockEngine:
+    # sha256 of the results below as produced by the one-generator-per-replicate
+    # engine that built every matrix whole; the block engine must not move a bit.
+    # The cases cover odd n, n = 1, m_null = 1, several row blocks with a
+    # partial last one (n = 501, 100001) and a row longer than a block.
+    CASES = ((37, 41, 13), (1, 1, 1), (600, 530, 501), (3, 1, 100_001), (2, 1, 300_001))
+    DIGEST = "28555f96baf7893684de8816b838a5348d0bfcbf4d6db91d2ad410323c78a1db"
+
+    def test_results_match_recorded_digest(self):
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        digest = hashlib.sha256()
+        for statistic in ("sign", "ks"):
+            for m_alt, m_null, n in self.CASES:
+                result = mc_bayes_risk(prior, McConfig(m_alt, m_null, n, 42, GRID), statistic)
+                digest.update(json.dumps(dataclasses.asdict(result), sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_peak_memory_stays_below_full_matrices(self):
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        mc_bayes_risk(prior, McConfig(1, 1, 1, 0, GRID), "sign")  # builds the cached sampler
+        cfg = McConfig(m_alternatives=4000, m_null=4000, n=1000, seed=3, threshold_grid=GRID)
+        matrices = 8 * (cfg.m_alternatives + cfg.m_null) * cfg.n
+        tracemalloc.start()
+        try:
+            mc_bayes_risk(prior, cfg, "sign")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrices / 8
 
 
 class TestRiskCurve:
@@ -124,6 +173,25 @@ class TestRiskCurve:
             McConfig(m_alternatives=10, m_null=10, n=10, seed=1, threshold_grid=(2.0, 1.0))
         with pytest.raises(DomainError):
             PriorSpec(family="cauchy-location")
+
+    @pytest.mark.parametrize("field", ["lambda_", "gamma_rate", "truncation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_prior_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError):
+            PriorSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_grid_rejects_non_finite(self, value):
+        with pytest.raises(DomainError):
+            McConfig(1, 1, 1, 0, (0.5, value, 1.0))
+        with pytest.raises(DomainError):
+            McConfig(1, 1, 1, 0, (0.5, 1.0, value))
+
+    @pytest.mark.parametrize("w0, w1", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_weights_reject_non_finite(self, w0, w1):
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        with pytest.raises(DomainError):
+            mc_bayes_risk(prior, small_config(), "sign", w0=w0, w1=w1)
 
 
 class TestPriorExponent:
