@@ -56,7 +56,8 @@ def calibrate_sign(lam: float, n: int) -> ThresholdReport:
     if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     problem = CalibrationProblem(rho=0.25, kappa=lam, n=n)
-    count_threshold = n / 2.0 + 0.5 * math.sqrt(lam * n * math.log(n))
+    # sqrt(n) apart from the rest, so that lam * n cannot overflow near 1e308.
+    count_threshold = n / 2.0 + 0.5 * math.sqrt(lam * math.log(n)) * math.sqrt(n)
     return analytic_optimum(problem, setting="sign", params={
         "lambda": lam,
         "count_threshold": count_threshold,

@@ -231,7 +231,7 @@ def _cmd_triangulate(args) -> int:
 
 def _cmd_mc(args) -> int:
     # mc_engine pulls in numpy; only the Monte-Carlo subcommands import it.
-    from .mc_engine import load_mc_config, mc_bayes_risk
+    from .mc_engine import RNG_STREAM, load_mc_config, mc_bayes_risk
     run = load_mc_config(args.config)
     cfg = dataclasses.replace(run.config, seed=_seed_override(run.config.seed))
     result = mc_bayes_risk(run.prior, cfg, run.statistic, w0=run.w0, w1=run.w1)
@@ -239,6 +239,7 @@ def _cmd_mc(args) -> int:
         _emit_json({
             "statistic": result.statistic,
             "seed": result.seed,
+            "rng_stream": RNG_STREAM,
             "argmin_threshold": result.argmin_threshold,
             "thresholds": list(result.thresholds),
             "alpha_hat": list(result.alpha_hat),
@@ -262,12 +263,12 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_prior_exponent(args) -> int:
-    from .mc_engine import estimate_prior_exponent, load_exponent_config
+    from .mc_engine import RNG_STREAM, estimate_prior_exponent, load_exponent_config
     run = load_exponent_config(args.config)
     seed = _seed_override(run.seed)
     fit = estimate_prior_exponent(run.prior, run.radii, run.m, seed)
     _emit_json({"kappa_hat": fit.kappa_hat, "intercept": fit.intercept,
-                "r2": fit.r2, "m": run.m, "seed": seed,
+                "r2": fit.r2, "m": run.m, "seed": seed, "rng_stream": RNG_STREAM,
                 "radii": list(run.radii)}, args)
     return 0
 

@@ -1,16 +1,20 @@
 """Seeded Monte-Carlo estimation of Bayes risk and the local prior exponent.
 
-Randomness comes from numpy's Philox counter-based generator with one
-substream per (replicate index, draw kind), so estimates are bit-reproducible
-regardless of execution order.  ``mc_bayes_risk`` builds one Philox per draw
-kind and re-keys it to each replicate's fresh substream state, which gives the
-same bits as building ``substream(seed, kind, index)`` anew at a fraction of
-the cost.  Replicate rows are generated into one reused block of about 2^18
-doubles and reduced to their statistics block by block, so memory is
-O(block + m), never the full m x n matrix.  The Laplace-location prior
-theta^(lambda-1) exp(-gamma theta) on (0, truncation] is sampled by inverse
-CDF built on the regularized incomplete gamma kernel.  Plain Monte Carlo only:
-estimates carry binomial standard errors, no importance sampling.
+Randomness comes from numpy's Philox counter-based generator (Salmon et al.,
+SC'11).  Each ``mc_bayes_risk`` call draws from one substream per draw kind
+(prior draws, alternative data, null data), keyed by (seed, kind), so
+estimates are bit-reproducible regardless of execution order.  Replicate rows
+are read off that stream in C order, one ``laplace`` call per block of about
+2^18 doubles, and reduced to their statistics block by block: memory is
+O(block + m), never the full m x n matrix, and the results do not depend on
+the block size.  The Laplace-location prior theta^(lambda-1) exp(-gamma theta)
+on (0, truncation] is sampled by inverse CDF, tabulated with a numpy form of
+the regularized incomplete gamma kernel.  Plain Monte Carlo only: estimates
+carry binomial standard errors, no importance sampling.
+
+``RNG_STREAM`` numbers the mapping from seed to draws.  Stream 1 gave every
+replicate its own substream and built the CDF with the scalar kernel; stream 2
+is the one above.  Seeded outputs of the two streams differ.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import regularized_gamma_p
+from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
+
+RNG_STREAM = 2
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -105,24 +111,67 @@ def substream(seed: int, kind: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _substreams(seed: int, kind: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield, for index 0..count-1, one reused generator in the state of
-    ``substream(seed, kind, index)`` as built.
+def _until_converged(step, *state) -> np.ndarray:
+    """Run ``step(i, *state) -> (done, state)`` for i = 1, 2, ... on the
+    elements still running, freezing each once it is done; return the frozen
+    last state array.  Raises DomainError if any element runs past
+    ``_GAMMA_MAX_ITER`` steps."""
+    out = np.empty_like(state[-1])
+    live = np.arange(out.size)
+    for i in range(1, _GAMMA_MAX_ITER + 1):
+        if not live.size:
+            return out
+        done, state = step(i, *state)
+        if done.any():
+            out[live[done]] = state[-1][done]
+            keep = ~done
+            live = live[keep]
+            state = tuple(v[keep] for v in state)
+    if live.size:
+        raise DomainError(f"incomplete gamma failed to converge at {live.size} grid points")
+    return out
 
-    Each step sets the whole Philox state (key, zero counter, empty buffer, no
-    pending 32-bit word), so nothing the previous replicate left carries over.
+
+def _gamma_p_grid(a: float, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, x) at every point of x >= 0.
+
+    The numpy form of ``special_fn.regularized_gamma_p``: the same power
+    series below a + 1 and modified Lentz continued fraction for Q above it,
+    each element stopped at the same relative tolerance and iteration cap.
     """
-    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bit_gen)
-    key = np.zeros(2, dtype=np.uint64)
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for index in range(count):
-        key[:] = _substream_key(seed, kind, index)
-        bit_gen.state = fresh
-        yield gen
+    tiny = 1e-300
+
+    def series(i, x, term, total):
+        term = term * (x / (a + i))
+        total = total + term
+        return np.abs(term) < np.abs(total) * _GAMMA_REL_TOL, (x, term, total)
+
+    def lentz(i, b, c, d, h):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        return np.abs(delta - 1.0) < _GAMMA_REL_TOL, (b, c, d, h * delta)
+
+    def scale(x):
+        return np.exp(-x + a * np.log(x) - math.lgamma(a))
+
+    p = np.zeros_like(x)
+    low = (x > 0) & (x < a + 1.0)
+    high = x >= a + 1.0
+    xs = x[low]
+    term = np.full_like(xs, 1.0 / a)
+    p[low] = _until_converged(series, xs, term, term.copy()) * scale(xs)
+    xc = x[high]
+    b = xc + 1.0 - a
+    d = 1.0 / b
+    q = _until_converged(lentz, b, np.full_like(xc, 1.0 / tiny), d, d.copy())
+    p[high] = 1.0 - q * scale(xc)
+    return p
 
 
 class _TruncatedGammaSampler:
@@ -136,15 +185,13 @@ class _TruncatedGammaSampler:
     def __init__(self, prior: PriorSpec, grid_points: int = _SAMPLER_GRID):
         frac = np.linspace(0.0, 1.0, grid_points)
         self.theta = prior.truncation * frac * frac
-        cdf = np.array([regularized_gamma_p(prior.lambda_, prior.gamma_rate * t)
-                        if t > 0 else 0.0 for t in self.theta])
+        cdf = _gamma_p_grid(prior.lambda_, prior.gamma_rate * self.theta)
+        if not cdf[-1] > 0:
+            raise DomainError("the prior's mass on (0, truncation] underflows to 0")
         self.cdf = cdf / cdf[-1]
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.interp(gen.random(size), self.cdf, self.theta)
-
-    def inverse(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.cdf, self.theta)
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,19 +223,18 @@ def _sign_rows(data: np.ndarray) -> np.ndarray:
 _STAT_FN = {"ks": _ks_rows, "sign": _sign_rows}
 
 
-def _replicate_statistics(stat_fn, seed: int, kind: int, locs: np.ndarray,
+def _replicate_statistics(stat_fn, gen: np.random.Generator, locs: np.ndarray,
                           n: int) -> np.ndarray:
-    """Statistic of each replicate row Laplace(locs[i], 1)^n drawn from
-    substream (seed, kind, i), computed over row blocks of one reused buffer."""
+    """Statistic of each replicate row Laplace(locs[i], 1)^n, the rows read in
+    order off ``gen``, one ``laplace`` call per block of rows."""
     m = len(locs)
     rows = max(1, _BLOCK_DOUBLES // n)
-    block = np.empty((min(rows, m), n))
     stats = np.empty(m)
-    for i, gen in enumerate(_substreams(seed, kind, m)):
-        r = i % rows
-        block[r] = gen.laplace(loc=locs[i], scale=1.0, size=n)
-        if r == rows - 1 or i == m - 1:
-            stats[i - r:i + 1] = stat_fn(block[:r + 1])
+    for s in range(0, m, rows):
+        e = min(s + rows, m)
+        block = gen.laplace(0.0, 1.0, size=(e - s, n))
+        block += locs[s:e, None]
+        stats[s:e] = stat_fn(block)
     return stats
 
 
@@ -222,16 +268,13 @@ def mc_bayes_risk(prior: PriorSpec, cfg: McConfig, statistic: str,
     if not (0 < w0 < math.inf and 0 < w1 < math.inf):
         raise DomainError("error-cost weights must be positive and finite")
     stat_fn = _STAT_FN[statistic]
-    sampler = _sampler_for(prior)
 
-    u = np.fromiter((gen.random() for gen in
-                     _substreams(cfg.seed, _KIND_PRIOR_DRAW, cfg.m_alternatives)),
-                    dtype=float, count=cfg.m_alternatives)
-    thetas = sampler.inverse(u)
-
-    t_alt = np.sort(_replicate_statistics(stat_fn, cfg.seed, _KIND_ALT_DATA, thetas, cfg.n))
-    t_null = np.sort(_replicate_statistics(stat_fn, cfg.seed, _KIND_NULL_DATA,
-                                           np.zeros(cfg.m_null), cfg.n))
+    thetas = _sampler_for(prior).sample(substream(cfg.seed, _KIND_PRIOR_DRAW, 0),
+                                        cfg.m_alternatives)
+    t_alt = np.sort(_replicate_statistics(
+        stat_fn, substream(cfg.seed, _KIND_ALT_DATA, 0), thetas, cfg.n))
+    t_null = np.sort(_replicate_statistics(
+        stat_fn, substream(cfg.seed, _KIND_NULL_DATA, 0), np.zeros(cfg.m_null), cfg.n))
 
     grid = np.asarray(cfg.threshold_grid)
     # alpha(t) = P(T0 > t), beta(t) = P(T1 <= t); same draws across thresholds.

@@ -42,7 +42,9 @@ class TiltedHalfSpace:
             raise DomainError("support, probs and phi must have equal lengths")
         if len(support) < 1:
             raise DomainError("support must be nonempty")
-        if any(v <= 0 for v in probs):
+        if not all(math.isfinite(v) for v in support + probs + phi):
+            raise DomainError("support, probs and phi must be finite")
+        if any(not v > 0 for v in probs):
             raise DomainError("null probabilities must be strictly positive")
         if abs(sum(probs) - 1.0) > _SIMPLEX_TOL:
             raise DomainError(f"null probabilities must sum to 1, got {sum(probs)}")

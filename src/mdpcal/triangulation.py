@@ -56,8 +56,9 @@ def evidence_bundle(counts: CountVector, theta0, prior_concentration: float = 1.
     ordered sequence.
     """
     theta0 = _validate_simplex(theta0, counts.k)
-    if prior_concentration <= 0:
-        raise DomainError(f"Dirichlet concentration must be positive, got {prior_concentration}")
+    if not 0 < prior_concentration < math.inf:
+        raise DomainError(
+            f"Dirichlet concentration must be positive and finite, got {prior_concentration}")
 
     n, k = counts.n, counts.k
     p_hat = counts.proportions

@@ -65,6 +65,15 @@ class TestCalibrateSign:
         with pytest.raises(DomainError):
             calibrate_sign(0.0, 100)
 
+    @pytest.mark.parametrize("lam", [2.0, 2])
+    def test_count_threshold_finite_at_largest_n(self, lam):
+        # lam * n overflows at n = 1e308; the float form gave inf, the int
+        # form a raw OverflowError.
+        n = 10**308
+        threshold = calibrate_sign(lam, n).params["count_threshold"]
+        assert math.isfinite(threshold)
+        assert threshold == pytest.approx(5e307, rel=1e-12)
+
 
 class TestCalibrateChi2:
     def test_three_categories(self):

@@ -152,6 +152,16 @@ class TestSanov:
         code, _, _ = run_cli(capsys, "sanov", "--input", "/nonexistent.json")
         assert code == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_phi_is_domain_error(self, capsys, tmp_path, value):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"support": [0, 1], "probs": [0.5, 0.5],
+                                    "phi": [value, 0.25]}))  # JSON tokens NaN, Infinity
+        code, out, err = run_cli(capsys, "sanov", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestSmallCommands:
     def test_truncation(self, capsys):
@@ -242,6 +252,15 @@ class TestMcCommands:
         assert payload_default["beta_hat"] == payload_same["beta_hat"]
         assert payload_default["beta_hat"] != payload_other["beta_hat"]
         assert payload_other["seed"] == 99
+
+    def test_outputs_record_rng_stream(self, capsys, mc_config, tmp_path):
+        assert run_json(capsys, "mc", "--config", str(mc_config), "--json")["rng_stream"] == 2
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "prior": {"lambda": 1.0, "gamma_rate": 1.0, "truncation": 8.0},
+            "radii": [0.3, 0.2, 0.1], "m": 1000, "seed": 1,
+        }))
+        assert run_json(capsys, "prior-exponent", "--config", str(path))["rng_stream"] == 2
 
     def test_nan_prior_field_is_domain_error(self, capsys, mc_config):
         payload = json.loads(mc_config.read_text())

@@ -14,7 +14,8 @@ from mdpcal import (DomainError, McConfig, PriorSpec, SampleBatch,
                     load_exponent_config, load_mc_config, mc_bayes_risk,
                     plugin_threshold, regularized_gamma_p, substream,
                     write_mc_csv)
-from mdpcal.mc_engine import _ks_rows, _laplace_cdf, _substreams
+import mdpcal.mc_engine as engine
+from mdpcal.mc_engine import _gamma_p_grid, _ks_rows, _laplace_cdf, _sign_rows
 
 GRID = tuple(0.5 + 0.05 * i for i in range(111))  # 0.5 .. 6.0
 
@@ -47,29 +48,32 @@ class TestDeterminism:
         draws = {substream(7, kind, idx).random() for kind in range(3) for idx in range(4)}
         assert len(draws) == 12
 
-    def test_rekeyed_generator_matches_fresh_substream(self):
-        def draws(gen):
-            return (gen.integers(0, 1000, size=3, dtype=np.uint32), gen.random(),
-                    gen.laplace(0.5, 1.0, 3), gen.random(3))
 
-        for kind in range(4):
-            for index, gen in enumerate(_substreams(2**64 + 9, kind, 5)):
-                fresh = substream(2**64 + 9, kind, index)
-                for ours, reference in zip(draws(gen), draws(fresh)):
-                    assert np.array_equal(ours, reference)
-                # The replicate leaves a partly used buffer and a pending
-                # 32-bit half word; the next re-key must drop both.
-                state = gen.bit_generator.state
-                assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+def reference_risk(prior: PriorSpec, cfg: McConfig, statistic: str):
+    """alpha_hat and beta_hat of RNG stream 2 with every m x n matrix drawn whole."""
+    stat_fn = {"ks": _ks_rows, "sign": _sign_rows}[statistic]
+    thetas = engine._sampler_for(prior).sample(
+        substream(cfg.seed, engine._KIND_PRIOR_DRAW, 0), cfg.m_alternatives)
+
+    def statistics(kind, locs):
+        data = substream(cfg.seed, kind, 0).laplace(0, 1, (len(locs), cfg.n)) + locs[:, None]
+        return np.sort(stat_fn(data))
+
+    t_alt = statistics(engine._KIND_ALT_DATA, thetas)
+    t_null = statistics(engine._KIND_NULL_DATA, np.zeros(cfg.m_null))
+    grid = np.asarray(cfg.threshold_grid)
+    alpha = 1.0 - np.searchsorted(t_null, grid, side="right") / cfg.m_null
+    beta = np.searchsorted(t_alt, grid, side="right") / cfg.m_alternatives
+    return tuple(alpha), tuple(beta)
 
 
 class TestBlockEngine:
-    # sha256 of the results below as produced by the one-generator-per-replicate
-    # engine that built every matrix whole; the block engine must not move a bit.
+    # sha256 of the results below under RNG stream 2 (one Philox stream per
+    # draw kind, vectorised prior CDF); it changes only with the stream.
     # The cases cover odd n, n = 1, m_null = 1, several row blocks with a
     # partial last one (n = 501, 100001) and a row longer than a block.
     CASES = ((37, 41, 13), (1, 1, 1), (600, 530, 501), (3, 1, 100_001), (2, 1, 300_001))
-    DIGEST = "28555f96baf7893684de8816b838a5348d0bfcbf4d6db91d2ad410323c78a1db"
+    DIGEST = "b1297ceafc70d68926a37517029e2b85d45d62371d6ad190d3ac14a56802e47b"
 
     def test_results_match_recorded_digest(self):
         prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
@@ -79,6 +83,36 @@ class TestBlockEngine:
                 result = mc_bayes_risk(prior, McConfig(m_alt, m_null, n, 42, GRID), statistic)
                 digest.update(json.dumps(dataclasses.asdict(result), sort_keys=True).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("block_doubles", [None, 1, 4096])
+    @pytest.mark.parametrize("statistic", ["sign", "ks"])
+    @pytest.mark.parametrize("m_alt, m_null, n", [(600, 530, 501), (2, 3, 300_001)])
+    def test_matches_whole_matrix_reference(self, monkeypatch, block_doubles, statistic,
+                                            m_alt, m_null, n):
+        # n = 501 leaves a partial last block at the default size and at 4096
+        # doubles; n > 2^18 gives every row a block of its own.
+        if block_doubles is not None:
+            monkeypatch.setattr(engine, "_BLOCK_DOUBLES", block_doubles)
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        cfg = McConfig(m_alt, m_null, n, 7, GRID)
+        result = mc_bayes_risk(prior, cfg, statistic)
+        assert (result.alpha_hat, result.beta_hat) == reference_risk(prior, cfg, statistic)
+
+    def test_sign_null_matches_exact_binomial(self):
+        # Under the null the positive count V of n = 101 draws is
+        # Binomial(101, 1/2); each alpha_hat over 20000 replicates must lie
+        # within 5 standard errors of the exact tail P(V > 50.5 + t sqrt(n) / 2).
+        n, m_null = 101, 20_000
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        result = mc_bayes_risk(prior, McConfig(1, m_null, n, 2026, GRID), "sign")
+        z = [(v - 0.5 * n) / (0.5 * math.sqrt(n)) for v in range(n + 1)]
+        checked = 0
+        for t, a_hat in zip(GRID, result.alpha_hat):
+            exact = sum(math.comb(n, v) for v in range(n + 1) if z[v] > t) / 2 ** n
+            se = math.sqrt(exact * (1.0 - exact) / m_null)
+            assert abs(a_hat - exact) <= 5.0 * se + 1e-12, (t, a_hat, exact)
+            checked += exact * m_null > 10
+        assert checked > 30
 
     def test_peak_memory_stays_below_full_matrices(self):
         prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
@@ -192,6 +226,27 @@ class TestRiskCurve:
         prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
         with pytest.raises(DomainError):
             mc_bayes_risk(prior, small_config(), "sign", w0=w0, w1=w1)
+
+
+class TestPriorSampler:
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 2.0, 100.0])
+    @pytest.mark.parametrize("rate_times_truncation", [1e-3, 8.0, 1e4])
+    def test_grid_cdf_matches_scalar_kernel(self, lam, rate_times_truncation):
+        frac = np.linspace(0.0, 1.0, engine._SAMPLER_GRID)
+        x = rate_times_truncation * frac * frac
+        grid = _gamma_p_grid(lam, x)
+        scalar = np.array([regularized_gamma_p(lam, float(v)) for v in x])
+        assert np.max(np.abs(grid - scalar)) <= 1e-13
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "_GAMMA_MAX_ITER", 2)
+        with pytest.raises(DomainError):
+            _gamma_p_grid(2.0, np.array([0.5, 3.0]))
+
+    def test_underflowing_prior_mass_raises(self):
+        prior = PriorSpec(lambda_=100.0, gamma_rate=1e-3, truncation=1e-3)
+        with pytest.raises(DomainError):
+            mc_bayes_risk(prior, small_config(), "sign")
 
 
 class TestPriorExponent:

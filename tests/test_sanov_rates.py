@@ -59,6 +59,14 @@ def primal_minimum_slsqp(problem: TiltedHalfSpace) -> float:
 
 
 class TestHalfSpaceRate:
+    @pytest.mark.parametrize("field", ["support", "probs", "phi"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        fields = {"support": [0.0, 1.0], "probs": [0.5, 0.5], "phi": [-0.75, 0.25]}
+        fields[field][0] = value
+        with pytest.raises(DomainError):
+            TiltedHalfSpace(**fields)
+
     def test_bernoulli_closed_form(self):
         # support {0,1}, fair null, phi = x - 0.75: duality predicts
         # the tilted optimiser Ber(0.75) and rate kl_bernoulli(0.75, 0.5)

@@ -57,6 +57,11 @@ class TestBundleValues:
         with pytest.raises(DomainError):
             evidence_bundle(CountVector((5, 5)), (0.5, 0.5), prior_concentration=0.0)
 
+    @pytest.mark.parametrize("concentration", [math.nan, math.inf])
+    def test_non_finite_concentration_rejected(self, concentration):
+        with pytest.raises(DomainError):
+            evidence_bundle(CountVector((5, 5)), (0.5, 0.5), prior_concentration=concentration)
+
 
 class TestExactIdentities:
     def test_on_random_count_vectors(self):
