@@ -12,12 +12,13 @@ dropped.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, require_count, require_positive
 from .risk_core import (CalibrationProblem, ThresholdReport, analytic_optimum,
                         numeric_minimiser, optimal_risk_rate)
 from .special_fn import chi2_quantile, kolmogorov_quantile
@@ -53,8 +54,7 @@ def calibrate_ks(kappa: float, n: int) -> ThresholdReport:
 
 def calibrate_sign(lam: float, n: int) -> ThresholdReport:
     """Sign-test calibration: reject when the count exceeds n/2 + sqrt(lam n ln n)/2."""
-    if not lam > 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    require_positive("lambda", lam)
     problem = CalibrationProblem(rho=0.25, kappa=lam, n=n)
     # sqrt(n) apart from the rest, so that lam * n cannot overflow near 1e308.
     count_threshold = n / 2.0 + 0.5 * math.sqrt(lam * math.log(n)) * math.sqrt(n)
@@ -66,8 +66,7 @@ def calibrate_sign(lam: float, n: int) -> ThresholdReport:
 
 def calibrate_chi2(k: int, n: int) -> ThresholdReport:
     """Multinomial chi-squared calibration: critical value (k-1) * ln n."""
-    if k < 2 or int(k) != k:
-        raise DomainError(f"number of categories must be an integer >= 2, got {k}")
+    require_count("number of categories", k, 2)
     problem = CalibrationProblem(rho=0.25, kappa=k - 1, n=n)
     return analytic_optimum(problem, setting="chi2", params={
         "k": int(k),
@@ -78,29 +77,21 @@ def calibrate_chi2(k: int, n: int) -> ThresholdReport:
 
 def calibrate_contingency(r: int, c: int, n: int) -> ThresholdReport:
     """Independence-test calibration with nu = (r-1)(c-1) degrees of freedom."""
-    if r < 2 or c < 2 or int(r) != r or int(c) != c:
-        raise DomainError(f"table dimensions must be integers >= 2, got r={r}, c={c}")
+    require_count("row categories r", r, 2)
+    require_count("column categories c", c, 2)
     nu = (r - 1) * (c - 1)
     report = calibrate_chi2(nu + 1, n)
     params = dict(report.params)
     params.update({"r": int(r), "c": int(c), "nu": nu})
     params.pop("k", None)
-    return ThresholdReport(
-        a_star=report.a_star,
-        t_star=report.t_star,
-        alpha_star=report.alpha_star,
-        risk_star=report.risk_star,
-        setting="contingency",
-        params=params,
-    )
+    return dataclasses.replace(report, setting="contingency", params=params)
 
 
 def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
     """Fisher-geometry calibration: rejection radius sqrt((lam + d) * ln n / n)."""
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
-    if d < 1 or int(d) != d:
-        raise DomainError(f"dimension must be an integer >= 1, got {d}")
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lambda must be nonnegative and finite, got {lam}")
+    require_count("dimension", d, 1)
     kappa = lam + d
     problem = CalibrationProblem(rho=0.25, kappa=kappa, n=n)
     return analytic_optimum(problem, setting="fisher", params={
@@ -112,10 +103,9 @@ def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
 
 def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
     """Asymptotic plug-in threshold sqrt(kappa_hat / (4 rho) * ln n)."""
-    if not (kappa_hat > 0 and rho > 0):
-        raise DomainError("kappa_hat and rho must be positive")
-    if n < 2 or int(n) != n:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
+    require_positive("kappa_hat", kappa_hat)
+    require_positive("rho", rho)
+    require_count("n", n, 2)
     return math.sqrt(kappa_hat / (4.0 * rho) * math.log(n))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -85,13 +84,6 @@ def _seed_override(seed: int) -> int:
         raise DomainError(f"MDPCAL_SEED must be an integer, got {env!r}") from None
 
 
-def _require(args, setting: str, names: list[str]) -> None:
-    for name in names:
-        attr = "lam" if name == "lambda" else name
-        if getattr(args, attr) is None:
-            raise UsageError(f"calibrate {setting} requires --{name}")
-
-
 def _report_payload(report) -> dict:
     return {
         "setting": report.setting,
@@ -103,23 +95,23 @@ def _report_payload(report) -> dict:
     }
 
 
+# calibrate setting -> (calibrator, the flags it takes before --n)
+_CALIBRATORS = {
+    "ks": (calibrate_ks, ("kappa",)),
+    "sign": (calibrate_sign, ("lambda",)),
+    "chi2": (calibrate_chi2, ("k",)),
+    "contingency": (calibrate_contingency, ("r", "c")),
+    "fisher": (calibrate_fisher, ("lambda", "d")),
+}
+
+
 def _cmd_calibrate(args) -> int:
-    setting = args.setting
-    if setting == "ks":
-        _require(args, setting, ["kappa"])
-        report = calibrate_ks(args.kappa, args.n)
-    elif setting == "sign":
-        _require(args, setting, ["lambda"])
-        report = calibrate_sign(args.lam, args.n)
-    elif setting == "chi2":
-        _require(args, setting, ["k"])
-        report = calibrate_chi2(args.k, args.n)
-    elif setting == "contingency":
-        _require(args, setting, ["r", "c"])
-        report = calibrate_contingency(args.r, args.c, args.n)
-    else:
-        _require(args, setting, ["lambda", "d"])
-        report = calibrate_fisher(args.lam, args.d, args.n)
+    calibrator, flags = _CALIBRATORS[args.setting]
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise UsageError(f"calibrate {args.setting} requires --{flag}")
+    report = calibrator(*values, args.n)
 
     if args.csv:
         flat = _report_payload(report)
@@ -146,7 +138,7 @@ def _cmd_risk_curve(args) -> int:
 
 
 def _cmd_regimes(args) -> int:
-    n_values = [int(v) for v in parse_reals(args.n_list)]
+    n_values = parse_reals(args.n_list)
     problem = CalibrationProblem(rho=args.rho, kappa=args.kappa, n=max(n_values[0], 2))
     series = regime_series(problem, n_values, args.alpha)
     if args.json:
@@ -253,10 +245,8 @@ def _cmd_mc(args) -> int:
                     result.beta_hat, result.se_beta, result.risk_hat))
     header = ["threshold", "alpha_hat", "se_alpha", "beta_hat", "se_beta", "risk_hat"]
     if args.out:
-        buf = io.StringIO()
-        _emit_csv(header, rows, args, out=buf)
         with open(args.out, "w", newline="") as fh:
-            fh.write(buf.getvalue())
+            _emit_csv(header, rows, args, out=fh)
     else:
         _emit_csv(header, rows, args)
     return 0
@@ -290,10 +280,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", parents=[common],
                        help="Bayes-optimal threshold for one test setting")
-    p.add_argument("setting", choices=["ks", "sign", "chi2", "contingency", "fisher"])
+    p.add_argument("setting", choices=list(_CALIBRATORS))
     p.add_argument("--kappa", type=float, help="prior mass exponent (ks)")
-    p.add_argument("--lambda", dest="lam", type=float,
-                   help="prior density exponent (sign, fisher)")
+    p.add_argument("--lambda", type=float, help="prior density exponent (sign, fisher)")
     p.add_argument("--k", type=int, help="number of categories (chi2)")
     p.add_argument("--r", type=int, help="row categories (contingency)")
     p.add_argument("--c", type=int, help="column categories (contingency)")

@@ -15,8 +15,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DegenerateSampleError, DomainError
-
-_SIMPLEX_TOL = 1e-8
+from .special_fn import check_simplex
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,10 @@ class SampleBatch:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise DomainError("sample batch must be nonempty")
+        # A finite sum proves every value finite at C speed; only an overflowed
+        # or NaN sum needs the element-wise check.
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise DomainError("sample values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sorted_values", tuple(sorted(values)))
 
@@ -68,14 +71,10 @@ class CountVector:
         return tuple(c / n for c in self.counts)
 
 
-def _validate_simplex(p0: Sequence[float], k: int, strict: bool = True) -> tuple[float, ...]:
-    p0 = tuple(float(v) for v in p0)
+def _validate_simplex(p0: Sequence[float], k: int) -> tuple[float, ...]:
+    p0 = check_simplex(p0)
     if len(p0) != k:
         raise DomainError(f"dimension mismatch: {len(p0)} probabilities for {k} categories")
-    if strict and any(v <= 0 for v in p0):
-        raise DomainError("null probabilities must be strictly positive")
-    if abs(sum(p0) - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(f"null probabilities must sum to 1, got {sum(p0)}")
     return p0
 
 

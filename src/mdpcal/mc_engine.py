@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_count, require_positive
 from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
 
 RNG_STREAM = 2
@@ -62,9 +62,9 @@ class PriorSpec:
     def __post_init__(self):
         if self.family != "laplace-location":
             raise DomainError(f"unsupported prior family {self.family!r}")
-        # Written as "not 0 < x < inf" so that NaN is rejected too.
-        if not all(0 < x < math.inf for x in (self.lambda_, self.gamma_rate, self.truncation)):
-            raise DomainError("lambda, gamma_rate and truncation must be positive and finite")
+        require_positive("lambda", self.lambda_)
+        require_positive("gamma_rate", self.gamma_rate)
+        require_positive("truncation", self.truncation)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class McConfig:
     threshold_grid: tuple[float, ...]
 
     def __post_init__(self):
-        if min(self.m_alternatives, self.m_null, self.n) < 1:
-            raise DomainError("replication counts and sample size must be >= 1")
+        for name in ("m_alternatives", "m_null", "n"):
+            require_count(name, getattr(self, name), 1)
         grid = tuple(float(t) for t in self.threshold_grid)
         if not grid:
             raise DomainError("threshold grid must be nonempty")
@@ -265,8 +265,8 @@ def mc_bayes_risk(prior: PriorSpec, cfg: McConfig, statistic: str,
     """
     if statistic not in STATISTICS:
         raise DomainError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    if not (0 < w0 < math.inf and 0 < w1 < math.inf):
-        raise DomainError("error-cost weights must be positive and finite")
+    require_positive("w0", w0)
+    require_positive("w1", w1)
     stat_fn = _STAT_FN[statistic]
 
     thetas = _sampler_for(prior).sample(substream(cfg.seed, _KIND_PRIOR_DRAW, 0),
@@ -337,8 +337,7 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
         raise DomainError("radii must be strictly decreasing")
     if any(not 0 < r <= prior.truncation for r in radii):
         raise DomainError("radii must lie in (0, truncation]")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    require_count("m", m, 1)
 
     gen = substream(seed, _KIND_PRIOR_PROBE, 0)
     thetas = _sampler_for(prior).sample(gen, m)

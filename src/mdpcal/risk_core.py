@@ -14,15 +14,13 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, require_count, require_positive
+from .special_fn import golden_min
 
 GRID_POINTS = 512
 REFINE_TOL = 1e-6
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -36,19 +34,13 @@ class CalibrationProblem:
     w1: float = 1.0
 
     def __post_init__(self):
-        # Written as "not x > 0" so that NaN is rejected too.
-        if not self.rho > 0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
-        if not self.kappa > 0:
-            raise DomainError(f"kappa must be positive, got {self.kappa}")
+        for name in ("rho", "kappa", "w0", "w1"):
+            require_positive(name, getattr(self, name))
         # n must convert to a float, which every risk formula needs; the value
         # is not shown, as a huge int prints with hundreds of digits.
         if self.n > sys.float_info.max:
             raise DomainError(f"n must be at most {sys.float_info.max:.4g}")
-        if not self.n >= 2 or int(self.n) != self.n:
-            raise DomainError(f"n must be an integer >= 2, got {self.n}")
-        if not (self.w0 > 0 and self.w1 > 0):
-            raise DomainError("error-cost weights must be positive")
+        require_count("n", self.n, 2)
 
     @property
     def a_star(self) -> float:
@@ -96,8 +88,7 @@ def template_risk(p: CalibrationProblem, a: float) -> RiskTerms:
     formula stops being a probability.  The base is clamped before the power,
     so a huge kappa cannot overflow.
     """
-    if a <= 0:
-        raise DomainError(f"threshold parameter a must be positive, got {a}")
+    require_positive("threshold parameter a", a)
     log_n = math.log(p.n)
     type1 = math.exp(-2.0 * p.rho * a * log_n)
     type2 = min(1.0, a * log_n / p.n) ** (p.kappa / 2.0)
@@ -106,10 +97,8 @@ def template_risk(p: CalibrationProblem, a: float) -> RiskTerms:
 
 def optimal_risk_rate(kappa: float, n: int) -> float:
     """The headline optimal-risk rate (ln n / n)^(kappa/2)."""
-    if kappa <= 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    require_positive("kappa", kappa)
+    require_count("n", n, 2)
     return (math.log(n) / n) ** (kappa / 2.0)
 
 
@@ -131,29 +120,6 @@ def analytic_optimum(p: CalibrationProblem, setting: str = "template",
     )
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    # Golden-section search for the minimum of a unimodal f on [lo, hi].
-    h = hi - lo
-    if h <= tol:
-        return 0.5 * (lo + hi)
-    x1 = lo + _INV_PHI_SQ * h
-    x2 = lo + _INV_PHI * h
-    f1, f2 = f(x1), f(x2)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    for _ in range(steps):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            h = _INV_PHI * h
-            x1 = lo + _INV_PHI_SQ * h
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            h = _INV_PHI * h
-            x2 = lo + _INV_PHI * h
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def default_bracket(p: CalibrationProblem) -> tuple[float, float]:
     """Search bracket [0.01 a*, 4 a*] guaranteeing an interior minimum."""
     return 0.01 * p.a_star, 4.0 * p.a_star
@@ -168,10 +134,9 @@ def numeric_minimiser(p: CalibrationProblem, a_lo: float | None = None,
     """
     if a_lo is None and a_hi is None:
         a_lo, a_hi = default_bracket(p)
-    if a_lo is None or a_hi is None or not 0 < a_lo < a_hi:
+    if a_lo is None or a_hi is None or not 0 < a_lo < a_hi < math.inf:
         raise DomainError(f"invalid bracket [{a_lo}, {a_hi}]")
-    if points < 3:
-        raise DomainError(f"grid needs at least 3 points, got {points}")
+    require_count("grid points", points, 3)
 
     step = (a_hi - a_lo) / (points - 1)
     grid = []
@@ -185,8 +150,8 @@ def numeric_minimiser(p: CalibrationProblem, a_lo: float | None = None,
             f"risk minimum lies at the bracket boundary a={grid[idx].a:.6g}; "
             f"widen [{a_lo:.6g}, {a_hi:.6g}]"
         )
-    argmin = _golden_min(lambda a: template_risk(p, a).total,
-                         grid[idx - 1].a, grid[idx + 1].a, REFINE_TOL)
+    argmin = golden_min(lambda a: template_risk(p, a).total,
+                        grid[idx - 1].a, grid[idx + 1].a, REFINE_TOL)
     return RiskCurve(grid=tuple(grid), argmin_a=argmin,
                      min_risk=template_risk(p, argmin).total)
 
@@ -205,16 +170,16 @@ def regime_series(p: CalibrationProblem, n_values: Sequence[int], fixed_alpha: f
         raise DomainError("n_values must be strictly increasing")
     if not 0.0 < fixed_alpha < 1.0:
         raise DomainError(f"fixed_alpha must be in (0, 1), got {fixed_alpha}")
-    if ldp_scale <= 0:
-        raise DomainError(f"ldp_scale must be positive, got {ldp_scale}")
+    require_positive("ldp_scale", ldp_scale)
 
     series: dict[str, list[tuple[int, float]]] = {"clt": [], "mdp": [], "ldp": []}
     for n in n_values:
-        pn = dataclasses.replace(p, n=int(n))
+        n = require_count("n", n, 2)
+        pn = dataclasses.replace(p, n=n)
         log_n = math.log(n)
         a_clt = math.log(1.0 / fixed_alpha) / (2.0 * p.rho * log_n)
         a_ldp = ldp_scale * ldp_scale * n / log_n
-        series["clt"].append((int(n), template_risk(pn, a_clt).total))
-        series["mdp"].append((int(n), template_risk(pn, pn.a_star).total))
-        series["ldp"].append((int(n), template_risk(pn, a_ldp).total))
+        series["clt"].append((n, template_risk(pn, a_clt).total))
+        series["mdp"].append((n, template_risk(pn, pn.a_star).total))
+        series["ldp"].append((n, template_risk(pn, a_ldp).total))
     return series

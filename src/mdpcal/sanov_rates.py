@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DomainError
-from .special_fn import kl_bernoulli
+from .errors import DomainError, require_count, require_positive
+from .special_fn import check_simplex, golden_min, kl_bernoulli
 
-_SIMPLEX_TOL = 1e-8
 _TILT_TOL = 1e-10
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -36,18 +32,14 @@ class TiltedHalfSpace:
 
     def __post_init__(self):
         support = tuple(float(v) for v in self.support)
-        probs = tuple(float(v) for v in self.probs)
+        probs = check_simplex(self.probs)
         phi = tuple(float(v) for v in self.phi)
         if not (len(support) == len(probs) == len(phi)):
             raise DomainError("support, probs and phi must have equal lengths")
         if len(support) < 1:
             raise DomainError("support must be nonempty")
-        if not all(math.isfinite(v) for v in support + probs + phi):
-            raise DomainError("support, probs and phi must be finite")
-        if any(not v > 0 for v in probs):
-            raise DomainError("null probabilities must be strictly positive")
-        if abs(sum(probs) - 1.0) > _SIMPLEX_TOL:
-            raise DomainError(f"null probabilities must sum to 1, got {sum(probs)}")
+        if not all(math.isfinite(v) for v in support + phi):
+            raise DomainError("support and phi must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "phi", phi)
@@ -105,31 +97,12 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
                        for p, f in zip(problem.probs, problem.phi))
         return HalfSpaceSolution(-math.log(mass), math.inf, tilted, "boundary-support")
 
-    hi = 1.0
-    while _tilted_mean(problem, hi) < 0.0:
-        hi *= 2.0
-    t_cap = hi
+    t_cap = 1.0
+    while _tilted_mean(problem, t_cap) < 0.0:
+        t_cap *= 2.0
 
-    # Golden-section maximisation of -Lambda on [0, hi].
-    lo = 0.0
-    h = hi - lo
-    x1 = lo + _INV_PHI_SQ * h
-    x2 = lo + _INV_PHI * h
-    f1 = _log_mgf(problem, x1)
-    f2 = _log_mgf(problem, x2)
-    steps = int(math.ceil(math.log(_TILT_TOL / h) / math.log(_INV_PHI))) if h > _TILT_TOL else 0
-    for _ in range(steps):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            h = _INV_PHI * h
-            x1 = lo + _INV_PHI_SQ * h
-            f1 = _log_mgf(problem, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            h = _INV_PHI * h
-            x2 = lo + _INV_PHI * h
-            f2 = _log_mgf(problem, x2)
-    t_star = 0.5 * (lo + hi)
+    # Maximise -Lambda on [0, t_cap], i.e. minimise the convex Lambda.
+    t_star = golden_min(lambda t: _log_mgf(problem, t), 0.0, t_cap, _TILT_TOL)
     # Newton polish on the stationarity condition: golden-section comparisons
     # flatten into float noise near the optimum, this drives the tilted mean
     # of phi to the 1e-8 contract and beyond.
@@ -145,10 +118,8 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
 def mdp_truncation_level(kappa: float, n: int) -> float:
     """Effective KL exponent (kappa/2) * ln n / n of the Bayes-optimal
     rejection set."""
-    if not kappa > 0:
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if n < 2 or int(n) != n:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
+    require_positive("kappa", kappa)
+    require_count("n", n, 2)
     return 0.5 * kappa * math.log(n) / n
 
 
@@ -162,8 +133,7 @@ class DecaySpec:
     def __post_init__(self):
         if self.kind not in ("polynomial", "exponential"):
             raise DomainError(f"decay kind must be polynomial or exponential, got {self.kind}")
-        if self.c <= 0:
-            raise DomainError(f"decay constant must be positive, got {self.c}")
+        require_positive("decay constant", self.c)
 
     @classmethod
     def polynomial(cls, c: float) -> "DecaySpec":
@@ -180,10 +150,8 @@ def distinguishability_radius(rho: float, decay: DecaySpec, n: int) -> float:
     Polynomial n^-c gives sqrt(c ln n / (2 rho)) / sqrt(n); exponential
     exp(-c n) pins the radius at the constant sqrt(c / (2 rho)).
     """
-    if rho <= 0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if n < 2 or int(n) != n:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
+    require_positive("rho", rho)
+    require_count("n", n, 2)
     if decay.kind == "polynomial":
         return math.sqrt(decay.c * math.log(n) / (2.0 * rho)) / math.sqrt(n)
     return math.sqrt(decay.c / (2.0 * rho))
@@ -202,8 +170,7 @@ def bahadur_slopes(theta: float) -> BahadurSlopes:
 
     c_med is the stated local approximation theta^2 and is flagged as such.
     """
-    if theta <= 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    require_positive("theta", theta)
     p_pos = 1.0 - 0.5 * math.exp(-theta)
     return BahadurSlopes(
         c_sign=2.0 * kl_bernoulli(p_pos, 0.5),

@@ -4,14 +4,17 @@ Everything here is scalar, deterministic and dependency-free: the Kolmogorov
 distribution and its inverse, the chi-squared CDF/quantile through the
 regularized lower incomplete gamma, the normal CDF, and the Kullback-Leibler
 divergence primitives.  Infinite KL is a legitimate value (unreachable Sanov
-sets), so it is returned as ``math.inf`` rather than raised.
+sets), so it is returned as ``math.inf`` rather than raised.  The numeric
+primitives the rest of the package shares live here too: the one
+golden-section search, the one bisection and the one simplex check.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_count, require_positive
 
 KOLMOGOROV_SERIES_TOL = 1e-12
 # Below this point the alternating series converges too slowly to be worth
@@ -23,13 +26,65 @@ _GAMMA_MAX_ITER = 10_000
 
 _SIMPLEX_TOL = 1e-8
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """Golden-section search for the minimum of a unimodal ``f`` on [lo, hi],
+    stopped once the bracket is narrower than ``tol``; returns its midpoint."""
+    h = hi - lo
+    if h <= tol:
+        return 0.5 * (lo + hi)
+    x1 = lo + _INV_PHI_SQ * h
+    x2 = lo + _INV_PHI * h
+    f1, f2 = f(x1), f(x2)
+    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    for _ in range(steps):
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            h = _INV_PHI * h
+            x1 = lo + _INV_PHI_SQ * h
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            h = _INV_PHI * h
+            x2 = lo + _INV_PHI * h
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(cdf: Callable[[float], float], p: float, lo: float, hi: float) -> float:
+    # Solve cdf(x) = p on [lo, hi] to a width of max(1e-9, 1e-15 * hi): the
+    # relative floor keeps the width above float spacing once hi passes ~1e6,
+    # where an absolute 1e-9 can never be reached.
+    while hi - lo > max(1e-9, 1e-15 * hi):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def check_simplex(probs: Sequence[float]) -> tuple[float, ...]:
+    """Return null probabilities as floats after checking that each is
+    positive and finite and that they sum to 1 within ``_SIMPLEX_TOL``."""
+    probs = tuple(float(v) for v in probs)
+    if not all(0 < v < math.inf for v in probs):
+        raise DomainError("null probabilities must be strictly positive and finite")
+    if abs(sum(probs) - 1.0) > _SIMPLEX_TOL:
+        raise DomainError(f"null probabilities must sum to 1, got {sum(probs)}")
+    return probs
+
 
 def kolmogorov_sf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
     """Survival function 1 - K(t) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2).
 
     Summed directly so the deep tail keeps full relative accuracy.
     """
-    if t < 0:
+    # Written as "not t >= 0": a NaN t would otherwise never end the series.
+    if not t >= 0:
         raise DomainError(f"Kolmogorov statistic must be nonnegative, got {t}")
     if t < _KOLMOGOROV_SMALL_T:
         return 1.0
@@ -48,10 +103,6 @@ def kolmogorov_sf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
 
 def kolmogorov_cdf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
     """Kolmogorov distribution K(t), the null limit law of sqrt(n) * KS."""
-    if t < 0:
-        raise DomainError(f"Kolmogorov statistic must be nonnegative, got {t}")
-    if t < _KOLMOGOROV_SMALL_T:
-        return 0.0
     return 1.0 - kolmogorov_sf(t, series_tol)
 
 
@@ -59,14 +110,7 @@ def kolmogorov_quantile(p: float) -> float:
     """Inverse of ``kolmogorov_cdf`` by bisection on [0.05, 5] to 1e-9."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = 0.05, 5.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(kolmogorov_cdf, p, 0.05, 5.0)
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -109,9 +153,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
 
 def regularized_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), split series/continued fraction."""
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
+    require_positive("shape parameter", a)
+    if not x >= 0:
         raise DomainError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
@@ -122,33 +165,21 @@ def regularized_gamma_p(a: float, x: float) -> float:
 
 def chi2_cdf(x: float, df: int) -> float:
     """Chi-squared CDF with ``df`` degrees of freedom."""
-    if df < 1 or int(df) != df:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
-    if x < 0:
+    require_count("degrees of freedom", df, 1)
+    if not x >= 0:
         raise DomainError(f"chi-squared argument must be nonnegative, got {x}")
     return regularized_gamma_p(df / 2.0, x / 2.0)
 
 
 def chi2_quantile(p: float, df: int) -> float:
-    """Inverse chi-squared CDF by bisection to max(1e-9, 1e-15 * hi).
-
-    The relative floor keeps the width above float spacing for df beyond ~1e6,
-    where an absolute 1e-9 can never be reached.
-    """
+    """Inverse chi-squared CDF by bisection to max(1e-9, 1e-15 * hi)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    if df < 1 or int(df) != df:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
-    lo, hi = 0.0, float(df) + 10.0
+    require_count("degrees of freedom", df, 1)
+    hi = float(df) + 10.0
     while chi2_cdf(hi, df) < p:
         hi *= 2.0
-    while hi - lo > max(1e-9, 1e-15 * hi):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: chi2_cdf(x, df), p, 0.0, hi)
 
 
 def normal_cdf(x: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import require_positive
 from .gof_stats import CountVector, pearson_chi2, _validate_simplex
 from .special_fn import kl_multinomial
 
@@ -56,9 +56,7 @@ def evidence_bundle(counts: CountVector, theta0, prior_concentration: float = 1.
     ordered sequence.
     """
     theta0 = _validate_simplex(theta0, counts.k)
-    if not 0 < prior_concentration < math.inf:
-        raise DomainError(
-            f"Dirichlet concentration must be positive and finite, got {prior_concentration}")
+    require_positive("Dirichlet concentration", prior_concentration)
 
     n, k = counts.n, counts.k
     p_hat = counts.proportions

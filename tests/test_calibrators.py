@@ -7,7 +7,8 @@ import pytest
 
 from mdpcal import (DomainError, calibrate_chi2, calibrate_contingency,
                     calibrate_fisher, calibrate_ks, calibrate_sign,
-                    emit_tables, kolmogorov_quantile, write_tables)
+                    emit_tables, kolmogorov_quantile, plugin_threshold,
+                    write_tables)
 
 
 class TestCalibrateKs:
@@ -42,6 +43,23 @@ class TestCalibrateKs:
     def test_n_beyond_float_range_is_domain_error(self):
         with pytest.raises(DomainError):
             calibrate_ks(2, 10**400)
+
+    @pytest.mark.parametrize("call", [
+        lambda: calibrate_ks(math.inf, 100),
+        lambda: calibrate_sign(math.inf, 100),
+        lambda: calibrate_chi2(math.nan, 100),
+        lambda: calibrate_chi2(3.5, 100),
+        lambda: calibrate_contingency(3, math.nan, 100),
+        lambda: calibrate_fisher(math.inf, 2, 100),
+        lambda: calibrate_fisher(1, math.nan, 100),
+        lambda: plugin_threshold(2, 1, math.nan),
+        lambda: plugin_threshold(math.inf, 1, 100),
+        lambda: plugin_threshold(2, math.inf, 100),
+    ])
+    def test_non_finite_or_fractional_inputs_are_domain_errors(self, call):
+        # Each raised a raw ValueError or returned inf/nan/0.0 before.
+        with pytest.raises(DomainError):
+            call()
 
     def test_crossing_beyond_float_range_is_inf(self):
         report = calibrate_ks(1e-3, 100)

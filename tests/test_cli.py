@@ -279,3 +279,32 @@ class TestMcCommands:
         }))
         payload = run_json(capsys, "prior-exponent", "--config", str(path))
         assert payload["kappa_hat"] == pytest.approx(1.0, abs=0.2)
+
+
+# Each printed nan/inf (or 0.0) and exited 0 before.
+NON_FINITE_ARGV = [
+    "calibrate ks --kappa inf --n 100",
+    "calibrate sign --lambda inf --n 100",
+    "calibrate fisher --lambda inf --d 2 --n 100",
+    "regimes --rho 1 --kappa inf --alpha 0.05 --n-list 100,1000",
+    "regimes --rho 1 --kappa 2 --alpha 0.05 --n-list 100.7,1000",
+    "truncation --kappa inf --n 100",
+    "radius --rho nan --poly 1 --n 100",
+    "radius --rho inf --poly 1 --n 100",
+    "radius --rho 1 --poly nan --n 100",
+    "radius --rho 1 --poly inf --n 100",
+    "radius --rho 1 --exp nan --n 100",
+    "radius --rho 1 --exp inf --n 100",
+    "slopes --theta-list inf",
+    "triangulate --counts 7,3 --theta0 nan,0.5",
+    "plugin --kappa-hat inf --rho 1 --n 100",
+    "plugin --kappa-hat 2 --rho inf --n 100",
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV)
+def test_non_finite_or_fractional_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -67,6 +67,17 @@ class TestKsStatistic:
         assert self._null_law_distance(seed=11, reps=10_000, n=100) < 0.045
         assert self._null_law_distance(seed=11, reps=10_000, n=1000) < 0.02
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DomainError):
+            SampleBatch((bad, 1.0))
+        with pytest.raises(DomainError):
+            SampleBatch((1.0,) * 1000 + (bad,))
+
+    def test_overflowing_sum_of_finite_values_accepted(self):
+        batch = SampleBatch((1e308, 1e308, -1.0))
+        assert batch.sorted_values == (-1.0, 1e308, 1e308)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             SampleBatch(())
@@ -81,6 +92,11 @@ class TestPearson:
 
     def test_degenerate_counts(self):
         assert pearson_chi2(CountVector((10, 0)), (0.5, 0.5)) == pytest.approx(10.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p0", [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan)])
+    def test_non_finite_null_rejected(self, p0):
+        with pytest.raises(DomainError):
+            pearson_chi2(CountVector((7, 3)), p0)
 
     def test_permutation_invariance(self):
         counts = (5, 9, 2, 4)

@@ -60,6 +60,23 @@ class TestTemplateRisk:
             with pytest.raises(DomainError):
                 CalibrationProblem(**{"rho": 1.0, "kappa": 2.0, "n": 100, **kwargs})
 
+    def test_non_finite_arguments_rejected(self):
+        p = CalibrationProblem(rho=1.0, kappa=2.0, n=100)
+        calls = [lambda: template_risk(p, math.nan),
+                 lambda: template_risk(p, math.inf),
+                 lambda: regime_series(p, [100, 1000], 0.05, ldp_scale=math.nan),
+                 lambda: regime_series(p, [100.7, 1000], 0.05),
+                 lambda: optimal_risk_rate(math.nan, 100),
+                 lambda: optimal_risk_rate(2.0, math.nan),
+                 lambda: optimal_risk_rate(2.0, 100.5)]
+        for kwargs in ({"rho": math.inf}, {"kappa": math.inf}, {"w1": math.inf},
+                       {"n": math.nan}, {"n": math.inf}, {"n": 100.5}):
+            calls.append(lambda kw=kwargs: CalibrationProblem(
+                **{"rho": 1.0, "kappa": 2.0, "n": 100, **kw}))
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
     def test_domain_errors(self):
         p = CalibrationProblem(rho=1.0, kappa=2.0, n=100)
         with pytest.raises(DomainError):
@@ -145,6 +162,11 @@ class TestNumericMinimiser:
             numeric_minimiser(p, 0.5, 0.1)
         with pytest.raises(DomainError):
             numeric_minimiser(p, -1.0, 1.0)
+
+    def test_infinite_bracket_end_rejected(self):
+        p = CalibrationProblem(rho=1.0, kappa=2.0, n=100)
+        with pytest.raises(DomainError, match="invalid bracket"):
+            numeric_minimiser(p, 0.1, math.inf)
 
     def test_convergence_to_analytic_constant(self):
         # argmin -> kappa/(4 rho) with an O(1/ln n) gap.  The gap decays

@@ -172,6 +172,12 @@ class TestTruncationLevel:
                     expected = 2.0 * rho * a_star * math.log(n) / n
                     assert mdp_truncation_level(kappa, n) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa, n", [(2, math.nan), (2, math.inf), (2, 100.5),
+                                          (math.inf, 100), (math.nan, 100)])
+    def test_non_finite_inputs_rejected(self, kappa, n):
+        with pytest.raises(DomainError):
+            mdp_truncation_level(kappa, n)
+
     def test_monotone_in_n_linear_in_kappa(self):
         levels = [mdp_truncation_level(2, n) for n in range(3, 200)]
         assert all(b < a for a, b in zip(levels, levels[1:]))
@@ -180,6 +186,15 @@ class TestTruncationLevel:
 
 
 class TestDistinguishabilityRadius:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, value):
+        with pytest.raises(DomainError):
+            distinguishability_radius(value, DecaySpec.polynomial(1.0), 100)
+        with pytest.raises(DomainError):
+            DecaySpec.polynomial(value)
+        with pytest.raises(DomainError):
+            DecaySpec.exponential(value)
+
     def test_polynomial_value(self):
         radius = distinguishability_radius(1.0, DecaySpec.polynomial(1.0), 100)
         assert radius == pytest.approx(0.15175, abs=1e-5)
@@ -207,6 +222,11 @@ class TestDistinguishabilityRadius:
 
 
 class TestBahadurSlopes:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(DomainError):
+            bahadur_slopes(theta)
+
     def test_lrt_value_at_one(self):
         assert bahadur_slopes(1.0).c_lrt == pytest.approx(0.735759, abs=1e-6)
 

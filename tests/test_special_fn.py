@@ -1,6 +1,8 @@
 """Kernel tests: Kolmogorov distribution, incomplete gamma, KL primitives."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,24 @@ class TestKolmogorov:
     def test_quantile_at_99_matches_bisection_oracle(self):
         assert kolmogorov_quantile(0.99) == pytest.approx(1.6276236115189495, abs=1e-6)
 
+    def test_nan_is_domain_error_not_a_hang(self):
+        # exp(-2 k^2 nan^2) < tol is never true, so a NaN that reached the
+        # series would loop forever; a subprocess keeps such a hang bounded.
+        code = ("import math\n"
+                "from mdpcal import DomainError, kolmogorov_cdf, kolmogorov_sf\n"
+                "for f in (kolmogorov_sf, kolmogorov_cdf):\n"
+                "    try:\n"
+                "        f(math.nan)\n"
+                "    except DomainError:\n"
+                "        print('raised')\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.stdout.split() == ["raised", "raised"], proc.stderr
+
+    def test_infinite_statistic_is_the_limit(self):
+        assert kolmogorov_sf(math.inf) == 0.0
+        assert kolmogorov_cdf(math.inf) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             kolmogorov_cdf(-0.1)
@@ -95,6 +115,20 @@ class TestChi2:
             chi2_quantile(1.2, 2)
         with pytest.raises(DomainError):
             regularized_gamma_p(-1.0, 2.0)
+
+
+    @pytest.mark.parametrize("df", [math.nan, math.inf, 2.5, 0])
+    def test_bad_degrees_of_freedom_are_domain_errors(self, df):
+        # A NaN df raised a raw "cannot convert float NaN to integer" before.
+        with pytest.raises(DomainError):
+            chi2_quantile(0.5, df)
+        with pytest.raises(DomainError):
+            chi2_cdf(1.0, df)
+
+    def test_nan_gamma_arguments_are_domain_errors(self):
+        for a, x in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                regularized_gamma_p(a, x)
 
 
 class TestNormal:
