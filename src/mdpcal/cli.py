@@ -56,19 +56,13 @@ def _round(value, precision: int):
     return value
 
 
-def _emit_json(payload: dict, args) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(_round(payload, args.precision)))
-
-
-def _emit_csv(header, rows, args, out=None) -> None:
-    out = out or sys.stdout
+def _emit_csv(header, rows, precision: int, out) -> None:
     out.write(",".join(header) + "\r\n")
     for row in rows:
         cells = []
         for v in row:
             if isinstance(v, float):
-                cells.append(f"{v:.{args.precision}g}")
+                cells.append(f"{v:.{precision}g}")
             else:
                 cells.append(str(v))
         out.write(",".join(cells) + "\r\n")
@@ -84,17 +78,6 @@ def _seed_override(seed: int) -> int:
         raise DomainError(f"MDPCAL_SEED must be an integer, got {env!r}") from None
 
 
-def _report_payload(report) -> dict:
-    return {
-        "setting": report.setting,
-        "a_star": report.a_star,
-        "t_star": report.t_star,
-        "alpha_star": report.alpha_star,
-        "risk_star": report.risk_star,
-        "params": dict(report.params),
-    }
-
-
 # calibrate setting -> (calibrator, the flags it takes before --n)
 _CALIBRATORS = {
     "ks": (calibrate_ks, ("kappa",)),
@@ -105,168 +88,155 @@ _CALIBRATORS = {
 }
 
 
-def _cmd_calibrate(args) -> int:
+# Each handler only computes: it returns (JSON payload, CSV table or None),
+# a table being (header, rows).  main() alone prints.
+
+def _calibrate(args):
     calibrator, flags = _CALIBRATORS[args.setting]
     values = [getattr(args, flag) for flag in flags]
     for flag, value in zip(flags, values):
         if value is None:
             raise UsageError(f"calibrate {args.setting} requires --{flag}")
     report = calibrator(*values, args.n)
-
-    if args.csv:
-        flat = _report_payload(report)
-        params = flat.pop("params")
-        flat.update(params)
-        _emit_csv(list(flat.keys()), [list(flat.values())], args)
-    else:
-        _emit_json(_report_payload(report), args)
-    return 0
+    head = {"setting": report.setting, "a_star": report.a_star, "t_star": report.t_star,
+            "alpha_star": report.alpha_star, "risk_star": report.risk_star}
+    params = dict(report.params)
+    flat = {**head, **params}
+    return {**head, "params": params}, (list(flat), [list(flat.values())])
 
 
-def _cmd_risk_curve(args) -> int:
+def _risk_curve(args):
     problem = CalibrationProblem(rho=args.rho, kappa=args.kappa, n=args.n)
     curve = numeric_minimiser(problem, args.a_min, args.a_max, points=args.points)
-    if args.json:
-        _emit_json({
-            "rho": args.rho, "kappa": args.kappa, "n": args.n,
-            "argmin_a": curve.argmin_a, "min_risk": curve.min_risk,
-            "grid": [list(pt) for pt in curve.grid],
-        }, args)
-    else:
-        _emit_csv(["a", "type1", "type2", "total"], [list(pt) for pt in curve.grid], args)
-    return 0
+    return ({"rho": args.rho, "kappa": args.kappa, "n": args.n, "argmin_a": curve.argmin_a,
+             "min_risk": curve.min_risk, "grid": curve.grid},
+            (["a", "type1", "type2", "total"], curve.grid))
 
 
-def _cmd_regimes(args) -> int:
+def _regimes(args):
     n_values = parse_reals(args.n_list)
     problem = CalibrationProblem(rho=args.rho, kappa=args.kappa, n=max(n_values[0], 2))
     series = regime_series(problem, n_values, args.alpha)
-    if args.json:
-        _emit_json({"rho": args.rho, "kappa": args.kappa, "fixed_alpha": args.alpha,
-                    "series": {k: [list(p) for p in v] for k, v in series.items()}}, args)
-    else:
-        rows = [[regime, n, risk] for regime in ("clt", "mdp", "ldp")
-                for n, risk in series[regime]]
-        _emit_csv(["regime", "n", "risk"], rows, args)
-    return 0
+    rows = [[regime, n, risk] for regime in ("clt", "mdp", "ldp") for n, risk in series[regime]]
+    return ({"rho": args.rho, "kappa": args.kappa, "fixed_alpha": args.alpha, "series": series},
+            (["regime", "n", "risk"], rows))
 
 
-def _cmd_tables(args) -> int:
-    written = write_tables(emit_tables(), args.out_dir)
-    for path in written:
-        print(path)
-    return 0
+def _tables(args):
+    return write_tables(emit_tables(), args.out_dir), None
 
 
-def _cmd_sanov(args) -> int:
+def _sanov(args):
     solution = half_space_rate(load_half_space(args.input))
-    _emit_json({
-        "rate": solution.rate,
-        "t_star": solution.t_star,
-        "tilted_probs": list(solution.tilted_probs) if solution.tilted_probs else None,
-        "status": solution.status,
-    }, args)
-    return 0
+    return {"rate": solution.rate, "t_star": solution.t_star,
+            "tilted_probs": solution.tilted_probs or None, "status": solution.status}, None
 
 
-def _cmd_truncation(args) -> int:
-    _emit_json({"kappa": args.kappa, "n": args.n,
-                "level": mdp_truncation_level(args.kappa, args.n)}, args)
-    return 0
+def _truncation(args):
+    return {"kappa": args.kappa, "n": args.n,
+            "level": mdp_truncation_level(args.kappa, args.n)}, None
 
 
-def _cmd_radius(args) -> int:
-    if args.poly is not None:
-        decay = DecaySpec.polynomial(args.poly)
-    else:
-        decay = DecaySpec.exponential(args.exp)
-    _emit_json({"rho": args.rho, "n": args.n, "regime": decay.kind, "c": decay.c,
-                "radius": distinguishability_radius(args.rho, decay, args.n)}, args)
-    return 0
+def _radius(args):
+    decay = (DecaySpec.polynomial(args.poly) if args.poly is not None
+             else DecaySpec.exponential(args.exp))
+    return {"rho": args.rho, "n": args.n, "regime": decay.kind, "c": decay.c,
+            "radius": distinguishability_radius(args.rho, decay, args.n)}, None
 
 
-def _cmd_slopes(args) -> int:
-    thetas = parse_reals(args.theta_list)
-    rows = []
-    for theta in thetas:
-        s = bahadur_slopes(theta)
-        rows.append({"theta": theta, "c_sign": s.c_sign, "c_lrt": s.c_lrt,
-                     "c_med": s.c_med, "c_med_local_approx": s.c_med_local_approx})
-    if args.csv:
-        _emit_csv(["theta", "c_sign", "c_lrt", "c_med", "c_med_local_approx"],
-                  [list(r.values()) for r in rows], args)
-    else:
-        _emit_json({"slopes": rows}, args)
-    return 0
+def _slopes(args):
+    header = ["theta", "c_sign", "c_lrt", "c_med", "c_med_local_approx"]
+    rows = [[theta, *bahadur_slopes(theta)] for theta in parse_reals(args.theta_list)]
+    return {"slopes": [dict(zip(header, row)) for row in rows]}, (header, rows)
 
 
-def _cmd_triangulate(args) -> int:
+def _triangulate(args):
     counts = parse_counts(args.counts)
-    theta0 = parse_reals(args.theta0)
-    bundle = evidence_bundle(counts, theta0, prior_concentration=args.dirichlet)
-    _emit_json({
-        "counts": list(counts.counts),
-        "theta0": list(bundle.theta0),
-        "n": counts.n,
-        "k": counts.k,
-        "dirichlet": args.dirichlet,
-        "d_kl": bundle.d_kl,
-        "w_good": bundle.w_good,
-        "w_exact": bundle.w_exact,
-        "lambda_n": bundle.lambda_n,
-        "pearson": bundle.pearson,
-        "entropy_deficit": bundle.entropy_deficit,
-        "cross_term": bundle.cross_term,
-    }, args)
-    return 0
+    bundle = evidence_bundle(counts, parse_reals(args.theta0),
+                             prior_concentration=args.dirichlet)
+    return {"counts": counts.counts, "theta0": bundle.theta0, "n": counts.n, "k": counts.k,
+            "dirichlet": args.dirichlet, "d_kl": bundle.d_kl, "w_good": bundle.w_good,
+            "w_exact": bundle.w_exact, "lambda_n": bundle.lambda_n, "pearson": bundle.pearson,
+            "entropy_deficit": bundle.entropy_deficit, "cross_term": bundle.cross_term}, None
 
 
-def _cmd_mc(args) -> int:
+def _mc(args):
     # mc_engine pulls in numpy; only the Monte-Carlo subcommands import it.
     from .mc_engine import RNG_STREAM, load_mc_config, mc_bayes_risk
     run = load_mc_config(args.config)
     cfg = dataclasses.replace(run.config, seed=_seed_override(run.config.seed))
     result = mc_bayes_risk(run.prior, cfg, run.statistic, w0=run.w0, w1=run.w1)
-    if args.json:
-        _emit_json({
-            "statistic": result.statistic,
-            "seed": result.seed,
-            "rng_stream": RNG_STREAM,
-            "argmin_threshold": result.argmin_threshold,
-            "thresholds": list(result.thresholds),
-            "alpha_hat": list(result.alpha_hat),
-            "se_alpha": list(result.se_alpha),
-            "beta_hat": list(result.beta_hat),
-            "se_beta": list(result.se_beta),
-            "risk_hat": list(result.risk_hat),
-        }, args)
-        return 0
-    rows = list(zip(result.thresholds, result.alpha_hat, result.se_alpha,
-                    result.beta_hat, result.se_beta, result.risk_hat))
-    header = ["threshold", "alpha_hat", "se_alpha", "beta_hat", "se_beta", "risk_hat"]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _emit_csv(header, rows, args, out=fh)
-    else:
-        _emit_csv(header, rows, args)
-    return 0
+    return ({"statistic": result.statistic, "seed": result.seed, "rng_stream": RNG_STREAM,
+             "argmin_threshold": result.argmin_threshold, "thresholds": result.thresholds,
+             "alpha_hat": result.alpha_hat, "se_alpha": result.se_alpha,
+             "beta_hat": result.beta_hat, "se_beta": result.se_beta,
+             "risk_hat": result.risk_hat},
+            (["threshold", "alpha_hat", "se_alpha", "beta_hat", "se_beta", "risk_hat"],
+             zip(result.thresholds, result.alpha_hat, result.se_alpha, result.beta_hat,
+                 result.se_beta, result.risk_hat)))
 
 
-def _cmd_prior_exponent(args) -> int:
+def _prior_exponent(args):
     from .mc_engine import RNG_STREAM, estimate_prior_exponent, load_exponent_config
     run = load_exponent_config(args.config)
     seed = _seed_override(run.seed)
     fit = estimate_prior_exponent(run.prior, run.radii, run.m, seed)
-    _emit_json({"kappa_hat": fit.kappa_hat, "intercept": fit.intercept,
-                "r2": fit.r2, "m": run.m, "seed": seed, "rng_stream": RNG_STREAM,
-                "radii": list(run.radii)}, args)
-    return 0
+    return {"kappa_hat": fit.kappa_hat, "intercept": fit.intercept, "r2": fit.r2,
+            "m": run.m, "seed": seed, "rng_stream": RNG_STREAM, "radii": run.radii}, None
 
 
-def _cmd_plugin(args) -> int:
-    _emit_json({"kappa_hat": args.kappa_hat, "rho": args.rho, "n": args.n,
-                "threshold": plugin_threshold(args.kappa_hat, args.rho, args.n)}, args)
-    return 0
+def _plugin(args):
+    return {"kappa_hat": args.kappa_hat, "rho": args.rho, "n": args.n,
+            "threshold": plugin_threshold(args.kappa_hat, args.rho, args.n)}, None
+
+
+# Flags shared by several subcommands, declared once.
+_N = ("--n", {"type": int, "required": True, "help": "sample size"})
+_RHO = ("--rho", {"type": float, "required": True})
+_KAPPA = ("--kappa", {"type": float, "required": True})
+_CONFIG = ("--config", {"required": True})
+
+# name -> (help, handler, format flag, flags).  The format flag switches to the
+# other output form: --csv from the default JSON, --json from the default CSV.
+_COMMANDS = {
+    "calibrate": ("Bayes-optimal threshold for one test setting", _calibrate, "--csv", (
+        ("setting", {"choices": list(_CALIBRATORS)}),
+        ("--kappa", {"type": float, "help": "prior mass exponent (ks)"}),
+        ("--lambda", {"type": float, "help": "prior density exponent (sign, fisher)"}),
+        ("--k", {"type": int, "help": "number of categories (chi2)"}),
+        ("--r", {"type": int, "help": "row categories (contingency)"}),
+        ("--c", {"type": int, "help": "column categories (contingency)"}),
+        ("--d", {"type": int, "help": "parameter dimension (fisher)"}),
+        _N)),
+    "risk-curve": ("deterministic risk curve over the threshold parameter a", _risk_curve,
+                   "--json", (_RHO, _KAPPA, _N, ("--a-min", {"type": float}),
+                              ("--a-max", {"type": float}),
+                              ("--points", {"type": int, "default": 512}))),
+    "regimes": ("CLT/MDP/LDP risk series over sample sizes", _regimes, "--json", (
+        _RHO, _KAPPA, ("--alpha", {"type": float, "required": True}),
+        ("--n-list", {"required": True, "help": "comma-separated sample sizes, increasing"}))),
+    "tables": ("regenerate every threshold table (CSV + JSON)", _tables, None, (
+        ("--out-dir", {"default": "tables"}),)),
+    "sanov": ("half-space KL rate by exponential tilting", _sanov, None, (
+        ("--input", {"required": True, "help": "JSON file with support/probs/phi"}),)),
+    "truncation": ("MDP truncation level (kappa/2) ln n / n", _truncation, None,
+                   (_KAPPA, _N)),
+    "radius": ("distinguishability radius for a Type-I decay target", _radius, None,
+               (_RHO, _N)),
+    "slopes": ("Bahadur slopes of the sign/LRT/median tests", _slopes, "--csv", (
+        ("--theta-list", {"required": True, "help": "comma-separated alternative locations"}),)),
+    "triangulate": ("all five evidence measures for a count vector", _triangulate, None, (
+        ("--counts", {"required": True, "help": "comma-separated integer counts, e.g. 7,3"}),
+        ("--theta0", {"required": True, "help": "comma-separated null probabilities"}),
+        ("--dirichlet", {"type": float, "default": 1.0,
+                         "help": "symmetric Dirichlet concentration (default 1)"}))),
+    "mc": ("Monte-Carlo Bayes risk over a threshold grid", _mc, "--json", (
+        _CONFIG, ("--out", {"help": "write CSV here instead of stdout"}))),
+    "prior-exponent": ("estimate the local prior mass exponent", _prior_exponent, None,
+                       (_CONFIG,)),
+    "plugin": ("plug-in threshold sqrt(kappa_hat/(4 rho) ln n)", _plugin, None, (
+        ("--kappa-hat", {"type": float, "required": True}), _RHO, _N)),
+}
 
 
 def _build_parser() -> _Parser:
@@ -277,128 +247,47 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mdpcal", description=__doc__)
     parser.add_argument("--version", action="version", version=f"mdpcal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="Bayes-optimal threshold for one test setting")
-    p.add_argument("setting", choices=list(_CALIBRATORS))
-    p.add_argument("--kappa", type=float, help="prior mass exponent (ks)")
-    p.add_argument("--lambda", type=float, help="prior density exponent (sign, fisher)")
-    p.add_argument("--k", type=int, help="number of categories (chi2)")
-    p.add_argument("--r", type=int, help="row categories (contingency)")
-    p.add_argument("--c", type=int, help="column categories (contingency)")
-    p.add_argument("--d", type=int, help="parameter dimension (fisher)")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--csv", action="store_true", default=False)
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("risk-curve", parents=[common],
-                       help="deterministic risk curve over the threshold parameter a")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a-min", type=float, default=None)
-    p.add_argument("--a-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_risk_curve)
-
-    p = sub.add_parser("regimes", parents=[common],
-                       help="CLT/MDP/LDP risk series over sample sizes")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n-list", type=str, required=True,
-                   help="comma-separated sample sizes, increasing")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_regimes)
-
-    p = sub.add_parser("tables", parents=[common],
-                       help="regenerate every threshold table (CSV + JSON)")
-    p.add_argument("--out-dir", type=str, default="tables")
-    p.set_defaults(func=_cmd_tables)
-
-    p = sub.add_parser("sanov", parents=[common],
-                       help="half-space KL rate by exponential tilting")
-    p.add_argument("--input", type=str, required=True,
-                   help="JSON file with support/probs/phi")
-    p.set_defaults(func=_cmd_sanov)
-
-    p = sub.add_parser("truncation", parents=[common],
-                       help="MDP truncation level (kappa/2) ln n / n")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_truncation)
-
-    p = sub.add_parser("radius", parents=[common],
-                       help="distinguishability radius for a Type-I decay target")
-    p.add_argument("--rho", type=float, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--poly", type=float, metavar="C",
-                       help="polynomial decay n^-C")
-    group.add_argument("--exp", type=float, metavar="C",
-                       help="exponential decay exp(-C n)")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_radius)
-
-    p = sub.add_parser("slopes", parents=[common],
-                       help="Bahadur slopes of the sign/LRT/median tests")
-    p.add_argument("--theta-list", type=str, required=True,
-                   help="comma-separated alternative locations")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_slopes)
-
-    p = sub.add_parser("triangulate", parents=[common],
-                       help="all five evidence measures for a count vector")
-    p.add_argument("--counts", type=str, required=True,
-                   help="comma-separated integer counts, e.g. 7,3")
-    p.add_argument("--theta0", type=str, required=True,
-                   help="comma-separated null probabilities")
-    p.add_argument("--dirichlet", type=float, default=1.0,
-                   help="symmetric Dirichlet concentration (default 1)")
-    p.set_defaults(func=_cmd_triangulate)
-
-    p = sub.add_parser("mc", parents=[common],
-                       help="Monte-Carlo Bayes risk over a threshold grid")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--out", type=str, default=None, help="write CSV here instead of stdout")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser("prior-exponent", parents=[common],
-                       help="estimate the local prior mass exponent")
-    p.add_argument("--config", type=str, required=True)
-    p.set_defaults(func=_cmd_prior_exponent)
-
-    p = sub.add_parser("plugin", parents=[common],
-                       help="plug-in threshold sqrt(kappa_hat/(4 rho) ln n)")
-    p.add_argument("--kappa-hat", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_plugin)
-
+    for name, (help_, _, fmt, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        if name == "calibrate":
+            # --json is accepted as an alias of the default; it excludes --csv.
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--json", action="store_true")
+            group.add_argument(fmt, action="store_true")
+        elif name == "radius":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--poly", type=float, metavar="C", help="polynomial decay n^-C")
+            group.add_argument("--exp", type=float, metavar="C",
+                               help="exponential decay exp(-C n)")
+        elif fmt:
+            p.add_argument(fmt, action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        args = _build_parser().parse_args(argv)
+        _, handler, fmt, _ = _COMMANDS[args.command]
+        payload, table = handler(args)
+        if table is not None and (args.csv if fmt == "--csv" else not args.json):
+            if getattr(args, "out", None):
+                with open(args.out, "w", newline="") as fh:
+                    _emit_csv(*table, args.precision, fh)
+            else:
+                _emit_csv(*table, args.precision, sys.stdout)
+        elif args.command == "tables":
+            print(*payload, sep="\n")
+        else:
+            print(json.dumps(_round({"schema": SCHEMA, **payload}, args.precision)))
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Exception types shared across the calibration toolkit, and the input checks
-that raise them."""
+that raise them, including the one reader of JSON input files."""
 
+import json
 import math
 
 
@@ -31,3 +32,41 @@ def require_count(name: str, n, least: int) -> int:
     if not (n >= least and n != math.inf and int(n) == n):
         raise DomainError(f"{name} must be an integer >= {least}, got {n}")
     return int(n)
+
+
+NUMBER = "a number"
+NUMBERS = "an array of numbers"
+OBJECT = "an object"
+STRING = "a string"
+
+_IS_KIND = {
+    NUMBER: lambda v: type(v) in (int, float),
+    NUMBERS: lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    OBJECT: lambda v: type(v) is dict,
+    STRING: lambda v: type(v) is str,
+}
+
+
+def require_fields(payload, what: str, fields: dict[str, str], optional=()) -> dict:
+    """Return ``payload`` if it is a JSON object whose ``fields`` have the given
+    kinds (NUMBER, NUMBERS, OBJECT or STRING).
+
+    A field named in ``optional`` may be absent; every other one must be present.
+    """
+    if type(payload) is not dict:
+        raise DomainError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    for name, kind in fields.items():
+        if name not in payload:
+            if name in optional:
+                continue
+            raise DomainError(f"{what} missing field {name!r}")
+        if not _IS_KIND[kind](payload[name]):
+            raise DomainError(f"{what} field {name!r} must be {kind}")
+    return payload
+
+
+def load_json_object(path, what: str, fields: dict[str, str], optional=()) -> dict:
+    """Read the JSON file at ``path`` and check it with ``require_fields``."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    return require_fields(payload, what, fields, optional)

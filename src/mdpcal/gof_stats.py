@@ -48,7 +48,13 @@ class CountVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        given = tuple(self.counts)
+        try:
+            counts = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):
+            counts = None
+        if counts != given:  # NaN, inf, fractions and non-numbers
+            raise DomainError("counts must be integers")
         if len(counts) < 2:
             raise DomainError(f"need at least 2 categories, got {len(counts)}")
         if any(c < 0 for c in counts):

@@ -20,7 +20,6 @@ is the one above.  Seeded outputs of the two streams differ.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_count, require_positive
+from .errors import (NUMBER, NUMBERS, OBJECT, STRING, DomainError, load_json_object,
+                     require_count, require_fields, require_positive)
 from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
 
 RNG_STREAM = 2
@@ -352,16 +352,15 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
     return fit_power_law(radii, probs)
 
 
-def _prior_from_json(payload: dict) -> PriorSpec:
-    try:
-        return PriorSpec(
-            family=payload.get("family", "laplace-location"),
-            lambda_=float(payload["lambda"]),
-            gamma_rate=float(payload["gamma_rate"]),
-            truncation=float(payload["truncation"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"prior JSON missing field {exc}") from None
+def _prior_from_json(payload) -> PriorSpec:
+    require_fields(payload, "prior JSON",
+                   dict.fromkeys(("lambda", "gamma_rate", "truncation"), NUMBER))
+    return PriorSpec(
+        family=payload.get("family", "laplace-location"),
+        lambda_=float(payload["lambda"]),
+        gamma_rate=float(payload["gamma_rate"]),
+        truncation=float(payload["truncation"]),
+    )
 
 
 @dataclass(frozen=True)
@@ -375,26 +374,25 @@ class McRun:
 
 def load_mc_config(path: str | Path) -> McRun:
     """Read a Bayes-risk MC run from JSON mirroring the PriorSpec/McConfig fields."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        mc = payload["mc"]
-        config = McConfig(
+    payload = load_json_object(path, "MC config",
+                               {"prior": OBJECT, "mc": OBJECT, "statistic": STRING,
+                                "w0": NUMBER, "w1": NUMBER}, optional=("w0", "w1"))
+    mc = require_fields(payload["mc"], "MC config 'mc'",
+                        {"m_alternatives": NUMBER, "m_null": NUMBER, "n": NUMBER,
+                         "seed": NUMBER, "threshold_grid": NUMBERS})
+    return McRun(
+        prior=_prior_from_json(payload["prior"]),
+        config=McConfig(
             m_alternatives=int(mc["m_alternatives"]),
             m_null=int(mc["m_null"]),
             n=int(mc["n"]),
             seed=int(mc["seed"]),
             threshold_grid=tuple(mc["threshold_grid"]),
-        )
-        return McRun(
-            prior=_prior_from_json(payload["prior"]),
-            config=config,
-            statistic=str(payload["statistic"]),
-            w0=float(payload.get("w0", 1.0)),
-            w1=float(payload.get("w1", 1.0)),
-        )
-    except KeyError as exc:
-        raise DomainError(f"MC config missing field {exc}") from None
+        ),
+        statistic=payload["statistic"],
+        w0=float(payload.get("w0", 1.0)),
+        w1=float(payload.get("w1", 1.0)),
+    )
 
 
 @dataclass(frozen=True)
@@ -407,17 +405,14 @@ class ExponentRun:
 
 def load_exponent_config(path: str | Path) -> ExponentRun:
     """Read a prior-exponent probe configuration from JSON."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return ExponentRun(
-            prior=_prior_from_json(payload["prior"]),
-            radii=tuple(float(r) for r in payload["radii"]),
-            m=int(payload["m"]),
-            seed=int(payload["seed"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"exponent config missing field {exc}") from None
+    payload = load_json_object(path, "exponent config",
+                               {"prior": OBJECT, "radii": NUMBERS, "m": NUMBER, "seed": NUMBER})
+    return ExponentRun(
+        prior=_prior_from_json(payload["prior"]),
+        radii=tuple(float(r) for r in payload["radii"]),
+        m=int(payload["m"]),
+        seed=int(payload["seed"]),
+    )
 
 
 def write_mc_csv(result: McRiskResult, fh) -> None:

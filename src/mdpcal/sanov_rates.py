@@ -9,13 +9,13 @@ The optimiser is the exponential tilt of F0 whose phi-mean is zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DomainError, require_count, require_positive
+from .errors import (NUMBERS, DomainError, load_json_object, require_count,
+                     require_positive)
 from .special_fn import check_simplex, golden_min, kl_bernoulli
 
 _TILT_TOL = 1e-10
@@ -182,13 +182,10 @@ def bahadur_slopes(theta: float) -> BahadurSlopes:
 
 def load_half_space(path: str | Path) -> TiltedHalfSpace:
     """Read a half-space problem from JSON: {support: [...], probs: [...], phi: [...]}."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return TiltedHalfSpace(
-            support=tuple(payload["support"]),
-            probs=tuple(payload["probs"]),
-            phi=tuple(payload["phi"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"half-space JSON missing field {exc}") from None
+    payload = load_json_object(path, "half-space JSON",
+                               dict.fromkeys(("support", "probs", "phi"), NUMBERS))
+    return TiltedHalfSpace(
+        support=tuple(payload["support"]),
+        probs=tuple(payload["probs"]),
+        phi=tuple(payload["phi"]),
+    )

@@ -158,6 +158,8 @@ def regularized_gamma_p(a: float, x: float) -> float:
         raise DomainError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     if x < a + 1.0:
         return _gamma_p_series(a, x)
     return 1.0 - _gamma_q_cf(a, x)

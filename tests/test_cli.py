@@ -308,3 +308,36 @@ def test_non_finite_or_fractional_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Each ended in a Python traceback before: a directory raised IsADirectoryError,
+# a non-object payload or a wrong-typed field a TypeError.
+MALFORMED_INPUTS = [
+    ("sanov --input {tmp}", None, 1, "usage error: "),
+    ("sanov --input {file}", [1, 2], 2, "error: "),
+    ("sanov --input {file}", {"support": [0, 1], "probs": [0.5, 0.5], "phi": "x"}, 2,
+     "error: "),
+    ("mc --config {file}", [1, 2], 2, "error: "),
+    ("mc --config {file}", {"prior": {"lambda": 2.0, "gamma_rate": 0.5, "truncation": 8.0},
+                            "mc": {"m_alternatives": 10, "m_null": 10, "n": 5, "seed": 1,
+                                   "threshold_grid": 3},
+                            "statistic": "sign"}, 2, "error: "),
+    ("mc --config {file}", {"prior": {"lambda": 2.0, "gamma_rate": 0.5, "truncation": 8.0},
+                            "mc": {"m_alternatives": 10, "m_null": 10, "n": 5, "seed": 1,
+                                   "threshold_grid": [1.0]},
+                            "statistic": "sign", "w0": [1]}, 2, "error: "),
+    ("prior-exponent --config {file}", [1, 2], 2, "error: "),
+    ("prior-exponent --config {file}", {"prior": [], "radii": [0.3], "m": 10, "seed": 1}, 2,
+     "error: "),
+]
+
+
+@pytest.mark.parametrize("argv, content, code, prefix", MALFORMED_INPUTS)
+def test_malformed_input_file_is_an_error_line(capsys, tmp_path, argv, content, code, prefix):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    got, out, err = run_cli(capsys, *argv.format(tmp=tmp_path, file=path).split())
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix)
+    assert "Traceback" not in err

@@ -117,6 +117,18 @@ class TestPearson:
         with pytest.raises(DomainError):
             CountVector((4, -1))
 
+    @pytest.mark.parametrize("counts", [(1.5, 2), (math.nan, 1), (math.inf, 1), ("3", 1),
+                                        (None, 1)])
+    def test_non_integer_counts_rejected(self, counts):
+        # (1.5, 2) became (1, 2) and NaN raised a raw ValueError before.
+        with pytest.raises(DomainError):
+            CountVector(counts)
+
+    def test_integral_floats_become_ints(self):
+        counts = CountVector((2.0, 3)).counts
+        assert counts == (2, 3)
+        assert all(type(c) is int for c in counts)
+
 
 class TestSignAndMedian:
     def test_mixed_signs(self):

@@ -125,6 +125,11 @@ class TestChi2:
         with pytest.raises(DomainError):
             chi2_cdf(1.0, df)
 
+    def test_infinite_argument_is_the_limit(self):
+        # P(a, inf) = 1; the continued fraction ran on NaN deltas and raised before.
+        assert regularized_gamma_p(2.5, math.inf) == 1.0
+        assert chi2_cdf(math.inf, 3) == 1.0
+
     def test_nan_gamma_arguments_are_domain_errors(self):
         for a, x in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
             with pytest.raises(DomainError):
