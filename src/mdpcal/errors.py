@@ -23,14 +23,21 @@ def require_positive(name: str, x: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {x}")
 
 
-def require_count(name: str, n, least: int) -> int:
-    """Return ``n`` as an int if it is an integer >= ``least``.
+def require_count(name: str, n, least: int | None = None) -> int:
+    """Return ``n`` as an int if it is an integer >= ``least`` (any integer
+    when ``least`` is None).
 
-    NaN, inf and fractional values raise DomainError.  The comparisons are
-    exact, so an int beyond float range (10**400) passes unchanged.
+    NaN, inf, fractional and non-numeric values (None, "7") raise DomainError.
+    The comparisons are exact, so an int beyond float range (10**400) passes
+    unchanged.
     """
-    if not (n >= least and n != math.inf and int(n) == n):
-        raise DomainError(f"{name} must be an integer >= {least}, got {n}")
+    try:
+        ok = int(n) == n and (least is None or n >= least)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{name} must be an integer{bound}, got {n!r}")
     return int(n)
 
 

@@ -5,12 +5,16 @@ SC'11).  Each ``mc_bayes_risk`` call draws from one substream per draw kind
 (prior draws, alternative data, null data), keyed by (seed, kind), so
 estimates are bit-reproducible regardless of execution order.  Replicate rows
 are read off that stream in C order, one ``laplace`` call per block of about
-2^18 doubles, and reduced to their statistics block by block: memory is
-O(block + m), never the full m x n matrix, and the results do not depend on
-the block size.  The Laplace-location prior theta^(lambda-1) exp(-gamma theta)
-on (0, truncation] is sampled by inverse CDF, tabulated with a numpy form of
-the regularized incomplete gamma kernel.  Plain Monte Carlo only: estimates
-carry binomial standard errors, no importance sampling.
+2^17 doubles, and reduced to their statistics block by block: memory is
+O(block + m), never the full m x n matrix.  The alternative and null streams
+run at once, one thread per data draw kind (numpy releases the GIL in the
+draws, the sort and the ufunc loops), each with its own generator and output
+array: two blocks are in flight, and the output bits depend on neither the
+threads nor the block size.  The Laplace-location prior
+theta^(lambda-1) exp(-gamma theta) on (0, truncation] is sampled by inverse
+CDF, tabulated with a numpy form of the regularized incomplete gamma kernel.
+Plain Monte Carlo only: estimates carry binomial standard errors, no
+importance sampling.
 
 ``RNG_STREAM`` numbers the mapping from seed to draws.  Stream 1 gave every
 replicate its own substream and built the CDF with the scalar kernel; stream 2
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -44,8 +49,9 @@ _KIND_PRIOR_PROBE = 3
 
 _SAMPLER_GRID = 20_001
 
-# Doubles per statistic block; a row longer than this gets a block of its own.
-_BLOCK_DOUBLES = 1 << 18
+# Doubles per statistic block, per thread; a row longer than this gets a block
+# of its own.
+_BLOCK_DOUBLES = 1 << 17
 
 STATISTICS = ("ks", "sign")
 
@@ -79,7 +85,8 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("m_alternatives", "m_null", "n"):
-            require_count(name, getattr(self, name), 1)
+            object.__setattr__(self, name, require_count(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", require_count("seed", self.seed))
         grid = tuple(float(t) for t in self.threshold_grid)
         if not grid:
             raise DomainError("threshold grid must be nonempty")
@@ -200,8 +207,8 @@ def _sampler_for(prior: PriorSpec) -> _TruncatedGammaSampler:
 
 
 def _laplace_cdf(x: np.ndarray) -> np.ndarray:
-    return np.where(x < 0, 0.5 * np.exp(np.minimum(x, 0.0)),
-                    1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
+    tail = 0.5 * np.exp(-np.abs(x))
+    return np.where(x < 0, tail, 1.0 - tail)
 
 
 def _ks_rows(data: np.ndarray) -> np.ndarray:
@@ -271,10 +278,25 @@ def mc_bayes_risk(prior: PriorSpec, cfg: McConfig, statistic: str,
 
     thetas = _sampler_for(prior).sample(substream(cfg.seed, _KIND_PRIOR_DRAW, 0),
                                         cfg.m_alternatives)
-    t_alt = np.sort(_replicate_statistics(
-        stat_fn, substream(cfg.seed, _KIND_ALT_DATA, 0), thetas, cfg.n))
-    t_null = np.sort(_replicate_statistics(
-        stat_fn, substream(cfg.seed, _KIND_NULL_DATA, 0), np.zeros(cfg.m_null), cfg.n))
+    alt = {}
+
+    def alternatives():
+        try:
+            alt["stats"] = np.sort(_replicate_statistics(
+                stat_fn, substream(cfg.seed, _KIND_ALT_DATA, 0), thetas, cfg.n))
+        except BaseException as exc:
+            alt["error"] = exc
+
+    worker = threading.Thread(target=alternatives, name="mdpcal-mc-alternatives")
+    worker.start()
+    try:
+        t_null = np.sort(_replicate_statistics(
+            stat_fn, substream(cfg.seed, _KIND_NULL_DATA, 0), np.zeros(cfg.m_null), cfg.n))
+    finally:
+        worker.join()
+    if "error" in alt:
+        raise alt["error"]
+    t_alt = alt["stats"]
 
     grid = np.asarray(cfg.threshold_grid)
     # alpha(t) = P(T0 > t), beta(t) = P(T1 <= t); same draws across thresholds.
@@ -337,9 +359,9 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
         raise DomainError("radii must be strictly decreasing")
     if any(not 0 < r <= prior.truncation for r in radii):
         raise DomainError("radii must lie in (0, truncation]")
-    require_count("m", m, 1)
+    m = require_count("m", m, 1)
 
-    gen = substream(seed, _KIND_PRIOR_PROBE, 0)
+    gen = substream(require_count("seed", seed), _KIND_PRIOR_PROBE, 0)
     thetas = _sampler_for(prior).sample(gen, m)
     probs = []
     for eps in radii:
@@ -383,10 +405,10 @@ def load_mc_config(path: str | Path) -> McRun:
     return McRun(
         prior=_prior_from_json(payload["prior"]),
         config=McConfig(
-            m_alternatives=int(mc["m_alternatives"]),
-            m_null=int(mc["m_null"]),
-            n=int(mc["n"]),
-            seed=int(mc["seed"]),
+            m_alternatives=mc["m_alternatives"],
+            m_null=mc["m_null"],
+            n=mc["n"],
+            seed=mc["seed"],
             threshold_grid=tuple(mc["threshold_grid"]),
         ),
         statistic=payload["statistic"],
@@ -410,8 +432,8 @@ def load_exponent_config(path: str | Path) -> ExponentRun:
     return ExponentRun(
         prior=_prior_from_json(payload["prior"]),
         radii=tuple(float(r) for r in payload["radii"]),
-        m=int(payload["m"]),
-        seed=int(payload["seed"]),
+        m=require_count("m", payload["m"], 1),
+        seed=require_count("seed", payload["seed"]),
     )
 
 

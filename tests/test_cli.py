@@ -262,6 +262,26 @@ class TestMcCommands:
         }))
         assert run_json(capsys, "prior-exponent", "--config", str(path))["rng_stream"] == 2
 
+    @pytest.mark.parametrize("field, value", [("n", 5.9), ("seed", -3.7)])
+    def test_fractional_mc_count_is_domain_error(self, capsys, mc_config, field, value):
+        payload = json.loads(mc_config.read_text())
+        payload["mc"][field] = value
+        mc_config.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "mc", "--config", str(mc_config))
+        assert (code, out) == (2, "")
+        assert field in err
+
+    @pytest.mark.parametrize("field, value", [("m", 1000.9), ("seed", 1.5)])
+    def test_fractional_exponent_count_is_domain_error(self, capsys, tmp_path, field, value):
+        payload = {"prior": {"lambda": 1.0, "gamma_rate": 1.0, "truncation": 8.0},
+                   "radii": [0.3, 0.2, 0.1], "m": 1000, "seed": 1}
+        payload[field] = value
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "prior-exponent", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert field in err
+
     def test_nan_prior_field_is_domain_error(self, capsys, mc_config):
         payload = json.loads(mc_config.read_text())
         payload["prior"]["lambda"] = math.nan

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -128,6 +130,61 @@ class TestBlockEngine:
         assert peak < matrices / 8
 
 
+class TestThreads:
+    PRIOR = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+
+    @pytest.mark.parametrize("failing_side", ["alternatives", "null"])
+    def test_stream_error_reaches_caller_and_worker_ends(self, monkeypatch, failing_side):
+        # Alternative locations are prior draws in (0, truncation]; null ones are 0.
+        original = engine._replicate_statistics
+
+        def statistics(stat_fn, gen, locs, n):
+            if np.any(locs != 0) == (failing_side == "alternatives"):
+                raise ZeroDivisionError(failing_side)
+            return original(stat_fn, gen, locs, n)
+
+        monkeypatch.setattr(engine, "_replicate_statistics", statistics)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=failing_side):
+            mc_bayes_risk(self.PRIOR, small_config(), "sign")
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial(self):
+        # Three calls at once (six threads, more than the cores of a small
+        # machine, switching every microsecond) share the cached sampler and
+        # each run their own worker; none may see another's draws.
+        calls = [(small_config(seed=5, n=301), "ks"), (small_config(seed=6, n=257), "sign"),
+                 (small_config(seed=5, n=301), "sign")]
+        serial = [mc_bayes_risk(self.PRIOR, cfg, statistic) for cfg, statistic in calls]
+        results = [None] * len(calls)
+        start = threading.Barrier(len(calls))
+
+        def run(i):
+            start.wait()
+            results[i] = mc_bayes_risk(self.PRIOR, *calls[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
+
+    def test_laplace_cdf_matches_two_exp_formula(self):
+        tiny = [0.0, 1e-300, 5e-324, 0.5, 1.0, 36.7, 700.0, 745.2, 800.0, math.inf]
+        x = np.concatenate([tiny, np.negative(tiny),
+                            np.random.default_rng(3).laplace(0.0, 3.0, 1000)])
+        two_exp = np.where(x < 0, 0.5 * np.exp(np.minimum(x, 0.0)),
+                           1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
+        assert _laplace_cdf(x).tobytes() == two_exp.tobytes()
+
+
 class TestRiskCurve:
     def test_always_reject_limit(self):
         # thresholds below every realised KS statistic: alpha = 1, beta = 0
@@ -207,6 +264,27 @@ class TestRiskCurve:
             McConfig(m_alternatives=10, m_null=10, n=10, seed=1, threshold_grid=(2.0, 1.0))
         with pytest.raises(DomainError):
             PriorSpec(family="cauchy-location")
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        with pytest.raises(DomainError, match="seed"):
+            McConfig(1, 1, 1, seed, (0.0,))
+        with pytest.raises(DomainError, match="seed"):
+            estimate_prior_exponent(prior, (0.2, 0.1), 100, seed=seed)
+
+    def test_integer_seeds_are_masked_to_64_bits(self):
+        # Negative seeds and seeds >= 2^64 keep their meaning: the seed
+        # modulo 2^64.  Integral floats and numpy integers name the same seed.
+        prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
+        reference = mc_bayes_risk(prior, small_config(seed=2**64 - 3), "sign")
+        for seed in (-3, 2**128 - 3):
+            result = mc_bayes_risk(prior, small_config(seed=seed), "sign")
+            assert (result.alpha_hat, result.beta_hat) == (reference.alpha_hat, reference.beta_hat)
+        assert mc_bayes_risk(prior, small_config(seed=-3), "sign").seed == -3
+        assert small_config(seed=np.int64(7)) == small_config(seed=7.0) == small_config(seed=7)
+        probe = estimate_prior_exponent(prior, (0.2, 0.1), 1000, seed=-3)
+        assert probe == estimate_prior_exponent(prior, (0.2, 0.1), 1000, seed=2**64 - 3)
 
     @pytest.mark.parametrize("field", ["lambda_", "gamma_rate", "truncation"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -340,6 +418,41 @@ class TestConfigIO:
         path.write_text(json.dumps({"prior": {"lambda": 1.0}}))
         with pytest.raises(DomainError):
             load_mc_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m_alternatives", 10.5), ("m_null", 0.5), ("n", 5.9), ("seed", -3.7), ("seed", 1.5),
+    ])
+    def test_mc_config_rejects_fractional_counts(self, tmp_path, field, value):
+        payload = {
+            "prior": {"lambda": 2.0, "gamma_rate": 0.5, "truncation": 8.0},
+            "mc": {"m_alternatives": 50, "m_null": 60, "n": 40, "seed": 9,
+                   "threshold_grid": [1.0, 2.0, 3.0]},
+            "statistic": "sign",
+        }
+        payload["mc"][field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DomainError, match=field):
+            load_mc_config(path)
+
+    @pytest.mark.parametrize("field, value", [("m", 1000.9), ("m", 0), ("seed", 1.5)])
+    def test_exponent_config_rejects_fractional_counts(self, tmp_path, field, value):
+        payload = {"prior": {"lambda": 1.0, "gamma_rate": 1.0, "truncation": 8.0},
+                   "radii": [0.2, 0.1], "m": 1000, "seed": 4}
+        payload[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DomainError, match=field):
+            load_exponent_config(path)
+
+    def test_integral_float_counts_become_ints(self, tmp_path):
+        payload = {"prior": {"lambda": 1.0, "gamma_rate": 1.0, "truncation": 8.0},
+                   "radii": [0.2, 0.1], "m": 1000.0, "seed": -4.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        run = load_exponent_config(path)
+        assert (run.m, run.seed) == (1000, -4)
+        assert type(run.m) is int and type(run.seed) is int
 
     def test_csv_writer(self, tmp_path):
         prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
