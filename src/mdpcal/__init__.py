@@ -5,10 +5,9 @@ sqrt(a* ln n) with a* = kappa/(4 rho), Type-I error decays as n^(-kappa/2).
 """
 
 from .errors import BracketError, DegenerateSampleError, DomainError
-from .risk_core import (CalibrationProblem, RiskCurve, RiskPoint, RiskTerms,
-                        ThresholdReport, analytic_optimum, default_bracket,
-                        numeric_minimiser, optimal_risk_rate, regime_series,
-                        template_risk)
+from .risk_core import (CalibrationProblem, RiskCurve, RiskPoint, ThresholdReport,
+                        analytic_optimum, default_bracket, numeric_minimiser,
+                        optimal_risk_rate, regime_series, template_risk)
 from .special_fn import (chi2_cdf, chi2_quantile, kl_bernoulli, kl_multinomial,
                          kolmogorov_cdf, kolmogorov_quantile, kolmogorov_sf,
                          normal_cdf, regularized_gamma_p)
@@ -22,7 +21,7 @@ from .sanov_rates import (BahadurSlopes, DecaySpec, HalfSpaceSolution,
                           TiltedHalfSpace, bahadur_slopes,
                           distinguishability_radius, half_space_rate,
                           load_half_space, mdp_truncation_level)
-from .triangulation import MultinomialEvidence, evidence_bundle, wilks_gap
+from .triangulation import MultinomialEvidence, evidence_bundle
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 # CLI never pay for numpy.
 _MC_NAMES = ("ExponentFit", "McConfig", "McRiskResult", "McRun", "PriorSpec",
              "estimate_prior_exponent", "fit_power_law", "load_mc_config",
-             "load_exponent_config", "mc_bayes_risk", "substream", "write_mc_csv")
+             "load_exponent_config", "mc_bayes_risk", "substream")
 
 
 def __getattr__(name):

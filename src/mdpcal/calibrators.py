@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError, require_count, require_positive
+from .errors import DomainError, require_count, require_finite, require_positive
 from .risk_core import (CalibrationProblem, ThresholdReport, analytic_optimum,
                         numeric_minimiser, optimal_risk_rate)
 from .special_fn import chi2_quantile, kolmogorov_quantile
@@ -60,7 +60,7 @@ def calibrate_sign(lam: float, n: int) -> ThresholdReport:
     count_threshold = n / 2.0 + 0.5 * math.sqrt(lam * math.log(n)) * math.sqrt(n)
     return analytic_optimum(problem, setting="sign", params={
         "lambda": lam,
-        "count_threshold": count_threshold,
+        "count_threshold": require_finite("count_threshold", count_threshold),
     })
 
 
@@ -106,7 +106,7 @@ def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
     require_positive("kappa_hat", kappa_hat)
     require_positive("rho", rho)
     require_count("n", n, 2)
-    return math.sqrt(kappa_hat / (4.0 * rho) * math.log(n))
+    return require_finite("threshold", math.sqrt(kappa_hat / (4.0 * rho) * math.log(n)))
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,7 @@ class TableBundle:
     verification: tuple[dict, ...]
 
     def tables(self) -> dict[str, tuple[dict, ...]]:
-        return {
-            "ks_thresholds": self.ks_thresholds,
-            "chi2_thresholds": self.chi2_thresholds,
-            "fisher_radii": self.fisher_radii,
-            "constants": self.constants,
-            "verification": self.verification,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _verification_row(setting: str, rho: float, kappa: float) -> dict:

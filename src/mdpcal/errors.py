@@ -23,6 +23,14 @@ def require_positive(name: str, x: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {x}")
 
 
+def require_finite(name: str, x: float) -> float:
+    """Return the computed value ``x`` if it is finite; raise DomainError if it
+    overflowed to inf (or is NaN), so no result is reported as "inf"."""
+    if not math.isfinite(x):
+        raise DomainError(f"{name} is not finite ({x}): the inputs overflow float range")
+    return x
+
+
 def require_count(name: str, n, least: int | None = None) -> int:
     """Return ``n`` as an int if it is an integer >= ``least`` (any integer
     when ``least`` is None).

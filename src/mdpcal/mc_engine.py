@@ -53,21 +53,16 @@ _SAMPLER_GRID = 20_001
 # of its own.
 _BLOCK_DOUBLES = 1 << 17
 
-STATISTICS = ("ks", "sign")
-
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Truncated Gamma-type prior on the Laplace location parameter."""
 
-    family: str = "laplace-location"
     lambda_: float = 1.0
     gamma_rate: float = 1.0
     truncation: float = 10.0
 
     def __post_init__(self):
-        if self.family != "laplace-location":
-            raise DomainError(f"unsupported prior family {self.family!r}")
         require_positive("lambda", self.lambda_)
         require_positive("gamma_rate", self.gamma_rate)
         require_positive("truncation", self.truncation)
@@ -181,29 +176,24 @@ def _gamma_p_grid(a: float, x: np.ndarray) -> np.ndarray:
     return p
 
 
-class _TruncatedGammaSampler:
-    """Inverse-CDF sampler for the truncated Gamma prior.
-
-    The CDF P(lambda, gamma*theta) is tabulated on a grid graded toward the
-    origin (where the density vanishes for lambda > 1) and inverted by
-    monotone linear interpolation.
-    """
-
-    def __init__(self, prior: PriorSpec, grid_points: int = _SAMPLER_GRID):
-        frac = np.linspace(0.0, 1.0, grid_points)
-        self.theta = prior.truncation * frac * frac
-        cdf = _gamma_p_grid(prior.lambda_, prior.gamma_rate * self.theta)
-        if not cdf[-1] > 0:
-            raise DomainError("the prior's mass on (0, truncation] underflows to 0")
-        self.cdf = cdf / cdf[-1]
-
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return np.interp(gen.random(size), self.cdf, self.theta)
-
-
 @functools.lru_cache(maxsize=8)
-def _sampler_for(prior: PriorSpec) -> _TruncatedGammaSampler:
-    return _TruncatedGammaSampler(prior)
+def _prior_cdf(prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated Gamma prior's CDF P(lambda, gamma*theta) / P(lambda,
+    gamma*truncation), tabulated as (theta, cdf) on a grid graded toward the
+    origin, where the density vanishes for lambda > 1."""
+    frac = np.linspace(0.0, 1.0, _SAMPLER_GRID)
+    theta = prior.truncation * frac * frac
+    cdf = _gamma_p_grid(prior.lambda_, prior.gamma_rate * theta)
+    if not cdf[-1] > 0:
+        raise DomainError("the prior's mass on (0, truncation] underflows to 0")
+    return theta, cdf / cdf[-1]
+
+
+def _prior_draws(prior: PriorSpec, gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` prior draws off ``gen``: the tabulated CDF inverted by monotone
+    linear interpolation."""
+    theta, cdf = _prior_cdf(prior)
+    return np.interp(gen.random(size), cdf, theta)
 
 
 def _laplace_cdf(x: np.ndarray) -> np.ndarray:
@@ -228,6 +218,7 @@ def _sign_rows(data: np.ndarray) -> np.ndarray:
     return (v - 0.5 * n) / (0.5 * math.sqrt(n))
 
 _STAT_FN = {"ks": _ks_rows, "sign": _sign_rows}
+STATISTICS = tuple(_STAT_FN)
 
 
 def _replicate_statistics(stat_fn, gen: np.random.Generator, locs: np.ndarray,
@@ -276,8 +267,7 @@ def mc_bayes_risk(prior: PriorSpec, cfg: McConfig, statistic: str,
     require_positive("w1", w1)
     stat_fn = _STAT_FN[statistic]
 
-    thetas = _sampler_for(prior).sample(substream(cfg.seed, _KIND_PRIOR_DRAW, 0),
-                                        cfg.m_alternatives)
+    thetas = _prior_draws(prior, substream(cfg.seed, _KIND_PRIOR_DRAW, 0), cfg.m_alternatives)
     alt = {}
 
     def alternatives():
@@ -362,7 +352,7 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
     m = require_count("m", m, 1)
 
     gen = substream(require_count("seed", seed), _KIND_PRIOR_PROBE, 0)
-    thetas = _sampler_for(prior).sample(gen, m)
+    thetas = _prior_draws(prior, gen, m)
     probs = []
     for eps in radii:
         p_hat = np.count_nonzero(thetas <= eps) / m
@@ -377,8 +367,10 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
 def _prior_from_json(payload) -> PriorSpec:
     require_fields(payload, "prior JSON",
                    dict.fromkeys(("lambda", "gamma_rate", "truncation"), NUMBER))
+    family = payload.get("family", "laplace-location")
+    if family != "laplace-location":
+        raise DomainError(f"unsupported prior family {family!r}")
     return PriorSpec(
-        family=payload.get("family", "laplace-location"),
         lambda_=float(payload["lambda"]),
         gamma_rate=float(payload["gamma_rate"]),
         truncation=float(payload["truncation"]),
@@ -435,12 +427,3 @@ def load_exponent_config(path: str | Path) -> ExponentRun:
         m=require_count("m", payload["m"], 1),
         seed=require_count("seed", payload["seed"]),
     )
-
-
-def write_mc_csv(result: McRiskResult, fh) -> None:
-    """Emit the risk curve as CSV: threshold, alpha_hat, se_alpha, beta_hat,
-    se_beta, risk_hat."""
-    fh.write("threshold,alpha_hat,se_alpha,beta_hat,se_beta,risk_hat\r\n")
-    for row in zip(result.thresholds, result.alpha_hat, result.se_alpha,
-                   result.beta_hat, result.se_beta, result.risk_hat):
-        fh.write(",".join(repr(float(v)) for v in row) + "\r\n")

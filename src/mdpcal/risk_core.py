@@ -16,7 +16,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import BracketError, DomainError, require_count, require_positive
+from .errors import (BracketError, DomainError, require_count, require_finite,
+                     require_positive)
 from .special_fn import golden_min
 
 GRID_POINTS = 512
@@ -47,12 +48,6 @@ class CalibrationProblem:
         return self.kappa / (4.0 * self.rho)
 
 
-class RiskTerms(NamedTuple):
-    type1: float
-    type2: float
-    total: float
-
-
 class RiskPoint(NamedTuple):
     a: float
     type1: float
@@ -81,7 +76,7 @@ class ThresholdReport:
     params: dict
 
 
-def template_risk(p: CalibrationProblem, a: float) -> RiskTerms:
+def template_risk(p: CalibrationProblem, a: float) -> RiskPoint:
     """Evaluate the two-term risk at threshold parameter ``a``.
 
     Type-II is clamped at 1 once a*ln n/n >= 1, where the asymptotic mass
@@ -92,7 +87,7 @@ def template_risk(p: CalibrationProblem, a: float) -> RiskTerms:
     log_n = math.log(p.n)
     type1 = math.exp(-2.0 * p.rho * a * log_n)
     type2 = min(1.0, a * log_n / p.n) ** (p.kappa / 2.0)
-    return RiskTerms(type1, type2, p.w0 * type1 + p.w1 * type2)
+    return RiskPoint(a, type1, type2, p.w0 * type1 + p.w1 * type2)
 
 
 def optimal_risk_rate(kappa: float, n: int) -> float:
@@ -112,7 +107,7 @@ def analytic_optimum(p: CalibrationProblem, setting: str = "template",
         report_params.update(params)
     return ThresholdReport(
         a_star=a_star,
-        t_star=math.sqrt(a_star * log_n),
+        t_star=require_finite("t_star", math.sqrt(a_star * log_n)),
         alpha_star=p.n ** (-p.kappa / 2.0),
         risk_star=template_risk(p, a_star).total,
         setting=setting,
@@ -142,7 +137,7 @@ def numeric_minimiser(p: CalibrationProblem, a_lo: float | None = None,
     grid = []
     for i in range(points):
         a = a_lo + i * step
-        grid.append(RiskPoint(a, *template_risk(p, a)))
+        grid.append(template_risk(p, a))
 
     idx = min(range(points), key=lambda i: grid[i].total)
     if idx == 0 or idx == points - 1:
@@ -156,13 +151,13 @@ def numeric_minimiser(p: CalibrationProblem, a_lo: float | None = None,
                      min_risk=template_risk(p, argmin).total)
 
 
-def regime_series(p: CalibrationProblem, n_values: Sequence[int], fixed_alpha: float,
-                  ldp_scale: float = 1.0) -> dict[str, list[tuple[int, float]]]:
+def regime_series(p: CalibrationProblem, n_values: Sequence[int],
+                  fixed_alpha: float) -> dict[str, list[tuple[int, float]]]:
     """Risk-versus-n series for the CLT, MDP and LDP calibration regimes.
 
     CLT holds the Type-I rate at ``fixed_alpha``; MDP holds a = kappa/(4 rho);
-    LDP puts the threshold at ldp_scale * sqrt(n), i.e. a(n) = ldp_scale^2 * n / ln n,
-    whose clamped Type-II term makes the series stagnate.
+    LDP puts the threshold at sqrt(n), i.e. a(n) = n / ln n, whose clamped
+    Type-II term makes the series stagnate.
     """
     if not n_values:
         raise DomainError("n_values must be nonempty")
@@ -170,7 +165,6 @@ def regime_series(p: CalibrationProblem, n_values: Sequence[int], fixed_alpha: f
         raise DomainError("n_values must be strictly increasing")
     if not 0.0 < fixed_alpha < 1.0:
         raise DomainError(f"fixed_alpha must be in (0, 1), got {fixed_alpha}")
-    require_positive("ldp_scale", ldp_scale)
 
     series: dict[str, list[tuple[int, float]]] = {"clt": [], "mdp": [], "ldp": []}
     for n in n_values:
@@ -178,7 +172,7 @@ def regime_series(p: CalibrationProblem, n_values: Sequence[int], fixed_alpha: f
         pn = dataclasses.replace(p, n=n)
         log_n = math.log(n)
         a_clt = math.log(1.0 / fixed_alpha) / (2.0 * p.rho * log_n)
-        a_ldp = ldp_scale * ldp_scale * n / log_n
+        a_ldp = n / log_n
         series["clt"].append((n, template_risk(pn, a_clt).total))
         series["mdp"].append((n, template_risk(pn, pn.a_star).total))
         series["ldp"].append((n, template_risk(pn, a_ldp).total))

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (NUMBERS, DomainError, load_json_object, require_count,
-                     require_positive)
+                     require_finite, require_positive)
 from .special_fn import check_simplex, golden_min, kl_bernoulli
 
 _TILT_TOL = 1e-10
@@ -63,19 +63,14 @@ def _log_mgf(problem: TiltedHalfSpace, t: float) -> float:
     return m + math.log(sum(math.exp(s - m) for s in shifted))
 
 
-def _tilted(problem: TiltedHalfSpace, t: float) -> tuple[float, ...]:
+def _tilt(problem: TiltedHalfSpace, t: float) -> tuple[float, tuple[float, ...], float, float]:
+    # (Lambda(t), the tilted law q_j = p_j exp(t phi_j - Lambda(t)), and the
+    # mean and variance of phi under q), from one pass over the support.
     lam = _log_mgf(problem, t)
-    return tuple(p * math.exp(t * f - lam) for p, f in zip(problem.probs, problem.phi))
-
-
-def _tilted_mean(problem: TiltedHalfSpace, t: float) -> float:
-    return sum(q * f for q, f in zip(_tilted(problem, t), problem.phi))
-
-
-def _tilted_var(problem: TiltedHalfSpace, t: float) -> float:
-    q = _tilted(problem, t)
+    q = tuple(p * math.exp(t * f - lam) for p, f in zip(problem.probs, problem.phi))
     mean = sum(qj * f for qj, f in zip(q, problem.phi))
-    return sum(qj * (f - mean) ** 2 for qj, f in zip(q, problem.phi))
+    var = sum(qj * (f - mean) ** 2 for qj, f in zip(q, problem.phi))
+    return lam, q, mean, var
 
 
 def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
@@ -98,7 +93,7 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
         return HalfSpaceSolution(-math.log(mass), math.inf, tilted, "boundary-support")
 
     t_cap = 1.0
-    while _tilted_mean(problem, t_cap) < 0.0:
+    while _tilt(problem, t_cap)[2] < 0.0:
         t_cap *= 2.0
 
     # Maximise -Lambda on [0, t_cap], i.e. minimise the convex Lambda.
@@ -106,13 +101,13 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
     # Newton polish on the stationarity condition: golden-section comparisons
     # flatten into float noise near the optimum, this drives the tilted mean
     # of phi to the 1e-8 contract and beyond.
+    lam, q, mean, var = _tilt(problem, t_star)
     for _ in range(4):
-        var = _tilted_var(problem, t_star)
         if var <= 0.0:
             break
-        t_star = min(max(t_star - _tilted_mean(problem, t_star) / var, 0.0), t_cap)
-    return HalfSpaceSolution(-_log_mgf(problem, t_star), t_star,
-                             _tilted(problem, t_star), "interior")
+        t_star = min(max(t_star - mean / var, 0.0), t_cap)
+        lam, q, mean, var = _tilt(problem, t_star)
+    return HalfSpaceSolution(-lam, t_star, q, "interior")
 
 
 def mdp_truncation_level(kappa: float, n: int) -> float:
@@ -120,7 +115,7 @@ def mdp_truncation_level(kappa: float, n: int) -> float:
     rejection set."""
     require_positive("kappa", kappa)
     require_count("n", n, 2)
-    return 0.5 * kappa * math.log(n) / n
+    return require_finite("level", 0.5 * kappa * math.log(n) / n)
 
 
 @dataclass(frozen=True)
@@ -153,8 +148,10 @@ def distinguishability_radius(rho: float, decay: DecaySpec, n: int) -> float:
     require_positive("rho", rho)
     require_count("n", n, 2)
     if decay.kind == "polynomial":
-        return math.sqrt(decay.c * math.log(n) / (2.0 * rho)) / math.sqrt(n)
-    return math.sqrt(decay.c / (2.0 * rho))
+        radius = math.sqrt(decay.c * math.log(n) / (2.0 * rho)) / math.sqrt(n)
+    else:
+        radius = math.sqrt(decay.c / (2.0 * rho))
+    return require_finite("radius", radius)
 
 
 class BahadurSlopes(NamedTuple):
@@ -174,8 +171,8 @@ def bahadur_slopes(theta: float) -> BahadurSlopes:
     p_pos = 1.0 - 0.5 * math.exp(-theta)
     return BahadurSlopes(
         c_sign=2.0 * kl_bernoulli(p_pos, 0.5),
-        c_lrt=2.0 * (math.exp(-theta) + theta - 1.0),
-        c_med=theta * theta,
+        c_lrt=require_finite("c_lrt", 2.0 * (math.exp(-theta) + theta - 1.0)),
+        c_med=require_finite("c_med", theta * theta),
         c_med_local_approx=True,
     )
 

@@ -78,7 +78,7 @@ def check_simplex(probs: Sequence[float]) -> tuple[float, ...]:
     return probs
 
 
-def kolmogorov_sf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
+def kolmogorov_sf(t: float) -> float:
     """Survival function 1 - K(t) = 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 t^2).
 
     Summed directly so the deep tail keeps full relative accuracy.
@@ -93,7 +93,7 @@ def kolmogorov_sf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
     k = 1
     while True:
         term = math.exp(-2.0 * k * k * t * t)
-        if term < series_tol:
+        if term < KOLMOGOROV_SERIES_TOL:
             break
         total += sign * term
         sign = -sign
@@ -101,9 +101,9 @@ def kolmogorov_sf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def kolmogorov_cdf(t: float, series_tol: float = KOLMOGOROV_SERIES_TOL) -> float:
+def kolmogorov_cdf(t: float) -> float:
     """Kolmogorov distribution K(t), the null limit law of sqrt(n) * KS."""
-    return 1.0 - kolmogorov_sf(t, series_tol)
+    return 1.0 - kolmogorov_sf(t)
 
 
 def kolmogorov_quantile(p: float) -> float:
@@ -131,6 +131,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
     # Modified Lentz continued fraction for Q(a, x); reliable for x >= a + 1.
     tiny = 1e-300
     b = x + 1.0 - a
+    if b == 0.0:  # a + 1 == a: the shape is past float resolution
+        raise DomainError(f"shape parameter {a} is too large for the incomplete gamma")
     c = 1.0 / tiny
     d = 1.0 / b
     h = d

@@ -282,6 +282,25 @@ class TestMcCommands:
         assert (code, out) == (2, "")
         assert field in err
 
+    def test_unsupported_mc_prior_family_is_domain_error(self, capsys, mc_config):
+        payload = json.loads(mc_config.read_text())
+        payload["prior"]["family"] = "cauchy-location"
+        mc_config.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "mc", "--config", str(mc_config))
+        assert (code, out) == (2, "")
+        assert "family" in err
+
+    def test_unsupported_exponent_prior_family_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "prior": {"family": "cauchy-location", "lambda": 1.0, "gamma_rate": 1.0,
+                      "truncation": 8.0},
+            "radii": [0.3, 0.2, 0.1], "m": 1000, "seed": 1,
+        }))
+        code, out, err = run_cli(capsys, "prior-exponent", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "family" in err
+
     def test_nan_prior_field_is_domain_error(self, capsys, mc_config):
         payload = json.loads(mc_config.read_text())
         payload["prior"]["lambda"] = math.nan
@@ -301,7 +320,8 @@ class TestMcCommands:
         assert payload["kappa_hat"] == pytest.approx(1.0, abs=0.2)
 
 
-# Each printed nan/inf (or 0.0) and exited 0 before.
+# Each printed nan/inf (or 0.0) and exited 0 before, except the two huge-df
+# argvs, which ended in a ZeroDivisionError traceback.
 NON_FINITE_ARGV = [
     "calibrate ks --kappa inf --n 100",
     "calibrate sign --lambda inf --n 100",
@@ -319,6 +339,18 @@ NON_FINITE_ARGV = [
     "triangulate --counts 7,3 --theta0 nan,0.5",
     "plugin --kappa-hat inf --rho 1 --n 100",
     "plugin --kappa-hat 2 --rho inf --n 100",
+    "calibrate chi2 --k 100000000000000000000 --n 100",
+    "calibrate contingency --r 10000000000 --c 10000000000 --n 100",
+    # finite inputs whose reported result overflows
+    "calibrate ks --kappa 1e308 --n 1000000000000000000000000000000",
+    "calibrate sign --lambda 1e308 --n 1000000000000000000000000000000",
+    "calibrate fisher --lambda 1e308 --d 1 --n 1000000000000000000000000000000",
+    "plugin --kappa-hat 1e300 --rho 1e-300 --n 100",
+    "radius --rho 1e-300 --poly 1e300 --n 100",
+    "radius --rho 1e-300 --exp 1e300 --n 100",
+    "slopes --theta-list 1e300",
+    "slopes --theta-list 1e308",
+    "truncation --kappa 1e308 --n 1000000000000000000000000000000",
 ]
 
 

@@ -1,10 +1,10 @@
-"""The shared input checks: require_positive and require_count."""
+"""The shared checks: require_positive, require_count and require_finite."""
 
 import math
 
 import pytest
 
-from mdpcal.errors import DomainError, require_count, require_positive
+from mdpcal.errors import DomainError, require_count, require_finite, require_positive
 
 
 def test_require_positive_passes_positive_finite_values():
@@ -29,3 +29,14 @@ def test_require_count_passes_integers(n):
 def test_require_count_rejects(n):
     with pytest.raises(DomainError, match="n must be an integer >= 2"):
         require_count("n", n, 2)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.7e308, 5e-324, 1.7e308])
+def test_require_finite_returns_finite_values_unchanged(x):
+    assert require_finite("t", x) is x
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_require_finite_rejects(x):
+    with pytest.raises(DomainError, match="t is not finite"):
+        require_finite("t", x)

@@ -13,7 +13,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MC_NAMES = ("ExponentFit", "McConfig", "McRiskResult", "McRun", "PriorSpec",
             "estimate_prior_exponent", "fit_power_law", "load_mc_config",
-            "load_exponent_config", "mc_bayes_risk", "substream", "write_mc_csv")
+            "load_exponent_config", "mc_bayes_risk", "substream")
 
 
 def _fresh_modules(code: str) -> set[str]:

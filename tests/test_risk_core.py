@@ -64,7 +64,6 @@ class TestTemplateRisk:
         p = CalibrationProblem(rho=1.0, kappa=2.0, n=100)
         calls = [lambda: template_risk(p, math.nan),
                  lambda: template_risk(p, math.inf),
-                 lambda: regime_series(p, [100, 1000], 0.05, ldp_scale=math.nan),
                  lambda: regime_series(p, [100.7, 1000], 0.05),
                  lambda: optimal_risk_rate(math.nan, 100),
                  lambda: optimal_risk_rate(2.0, math.nan),

@@ -135,6 +135,14 @@ class TestChi2:
             with pytest.raises(DomainError):
                 regularized_gamma_p(a, x)
 
+    def test_shape_past_float_resolution_is_domain_error(self):
+        # Once a + 1 == a the continued fraction starts at b = 0; it raised a
+        # ZeroDivisionError before.
+        with pytest.raises(DomainError):
+            regularized_gamma_p(1e300, 1e300)
+        with pytest.raises(DomainError):
+            chi2_quantile(0.95, 10**20)
+
 
 class TestNormal:
     def test_symmetry_and_values(self):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mdpcal import CountVector, DomainError, evidence_bundle, wilks_gap
+import mdpcal.triangulation as triangulation
+from mdpcal import CountVector, DomainError, evidence_bundle
 
 
 def random_count_vector(rng: np.random.Generator) -> tuple[CountVector, tuple[float, ...]]:
@@ -63,6 +64,40 @@ class TestBundleValues:
             evidence_bundle(CountVector((5, 5)), (0.5, 0.5), prior_concentration=concentration)
 
 
+class TestExactBayesFactorAtLargeCounts:
+    # The lgamma terms of w_exact are ~ c ln c; above 1e5 observations the
+    # Stirling-difference form cancels them analytically.  At c = 1e20 the
+    # lgamma form gave 81920.0.
+    @pytest.mark.parametrize("c", [10**e for e in range(8, 21)])
+    def test_symmetric_counts_against_asymptotic_oracle(self, c):
+        # ln((c!)^2 / (2c+1)!) + 2c ln 2 = 1/2 ln(pi c) - ln(2c + 1) + O(1/c)
+        w = evidence_bundle(CountVector((c, c)), (0.5, 0.5)).w_exact
+        assert abs(w - (0.5 * math.log(math.pi * c) - math.log(2 * c + 1))) <= 1.0 / c + 1e-14
+
+    @pytest.mark.parametrize("c", [10**e for e in range(6, 15)])
+    def test_three_categories_within_n_eps(self, c):
+        # ln(2 c! c! (2c)! / (4c+2)!) + 6c ln 2 = ln(2 sqrt(2) pi c / ((4c+1)(4c+2))) + O(1/c).
+        # Rounding q_j = (1 + c_j) / (3 + n) costs up to c_j eps, the conditioning
+        # of w in theta_j; the lgamma form is off by ~ eps n ln n.
+        n = 4 * c
+        w = evidence_bundle(CountVector((c, c, 2 * c)), (0.25, 0.25, 0.5)).w_exact
+        oracle = math.log(2.0 * math.sqrt(2.0) * math.pi * c) - math.log((n + 1) * (n + 2))
+        assert abs(w - oracle) <= 1.0 / c + 4 * n * 2.0 ** -52
+
+    def test_stirling_form_matches_lgamma_form_up_to_1e5(self, monkeypatch):
+        rng = np.random.default_rng(2718)
+        cases = []
+        for _ in range(100):
+            counts, theta0 = random_count_vector(rng)
+            cases.append((counts, theta0, float(rng.choice((1e-3, 0.5, 1.0, 2.0, 30.0)))))
+        cases.append((CountVector((0, 100_000)), (0.5, 0.5), 1.0))
+        lgamma_form = [evidence_bundle(*case).w_exact for case in cases]
+        monkeypatch.setattr(triangulation, "_STIRLING_MIN_N", 0)
+        for case, expected in zip(cases, lgamma_form):
+            assert case[0].n <= 10**5
+            assert abs(evidence_bundle(*case).w_exact - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
 class TestExactIdentities:
     def test_on_random_count_vectors(self):
         rng = np.random.default_rng(314)
@@ -83,6 +118,12 @@ class TestExactIdentities:
             bundle = evidence_bundle(counts, tuple(1.0 / k for _ in range(k)))
             assert abs(bundle.cross_term) < 1e-12
             assert close(bundle.entropy_deficit, bundle.d_kl)
+
+
+def wilks_gap(counts: CountVector, theta0) -> float:
+    """Closure residual lambda_n - pearson, which is o_P(1) near the null."""
+    bundle = evidence_bundle(counts, theta0)
+    return bundle.lambda_n - bundle.pearson
 
 
 class TestWilksGap:
