@@ -14,9 +14,9 @@ from .special_fn import (chi2_cdf, chi2_quantile, kl_bernoulli, kl_multinomial,
 from .gof_stats import (CountVector, SampleBatch, ks_statistic, laplace_lrt,
                         load_batch, normal_vs_laplace_contrast, parse_counts,
                         parse_reals, pearson_chi2, sample_median, sign_count)
-from .calibrators import (TableBundle, calibrate_chi2, calibrate_contingency,
-                          calibrate_fisher, calibrate_ks, calibrate_sign,
-                          emit_tables, plugin_threshold, write_tables)
+from .calibrators import (calibrate_chi2, calibrate_contingency, calibrate_fisher,
+                          calibrate_ks, calibrate_sign, emit_tables,
+                          plugin_threshold, write_tables)
 from .sanov_rates import (BahadurSlopes, DecaySpec, HalfSpaceSolution,
                           TiltedHalfSpace, bahadur_slopes,
                           distinguishability_radius, half_space_rate,

@@ -3,10 +3,12 @@
 Each calibrator maps problem parameters to a ThresholdReport: the KS test
 (rho=1), the Laplace sign test (rho=1/4), multinomial chi-squared and
 contingency-table independence (rho=1/4, kappa = degrees of freedom), and the
-Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  The
-plug-in threshold for an estimated kappa lives here too.  All reported
-thresholds are leading-order; log log n correction terms are intentionally
-dropped.
+Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  Each rho is
+written once, in its calibrator.  ``SETTINGS`` names the settings: the CLI
+dispatches through it, and ``emit_tables`` reads rho and kappa off calibrated
+reports to build the constants and verification tables.  The plug-in
+threshold for an estimated kappa lives here too.  All reported thresholds are
+leading-order; log log n correction terms are intentionally dropped.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, require_count, require_finite, require_positive
@@ -91,12 +92,12 @@ def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
     """Fisher-geometry calibration: rejection radius sqrt((lam + d) * ln n / n)."""
     if not 0 <= lam < math.inf:
         raise DomainError(f"lambda must be nonnegative and finite, got {lam}")
-    require_count("dimension", d, 1)
+    d = require_count("dimension", d, 1)
     kappa = lam + d
     problem = CalibrationProblem(rho=0.25, kappa=kappa, n=n)
     return analytic_optimum(problem, setting="fisher", params={
         "lambda": lam,
-        "d": int(d),
+        "d": d,
         "radius": math.sqrt(kappa * math.log(n) / n),
     })
 
@@ -109,38 +110,27 @@ def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
     return require_finite("threshold", math.sqrt(kappa_hat / (4.0 * rho) * math.log(n)))
 
 
-@dataclass(frozen=True)
-class TableBundle:
-    """All regenerated threshold tables as column-ordered records."""
+# setting -> (calibrator, the flags it takes before n, kappa as a formula of
+# those flags).  contingency is chi2 with k - 1 = (r-1)(c-1), so it has no
+# formula, and no constants or verification row, of its own.
+SETTINGS = {
+    "ks": (calibrate_ks, ("kappa",), "kappa"),
+    "sign": (calibrate_sign, ("lambda",), "lambda"),
+    "chi2": (calibrate_chi2, ("k",), "k-1"),
+    "contingency": (calibrate_contingency, ("r", "c"), None),
+    "fisher": (calibrate_fisher, ("lambda", "d"), "lambda+d"),
+}
 
-    ks_thresholds: tuple[dict, ...]
-    chi2_thresholds: tuple[dict, ...]
-    fisher_radii: tuple[dict, ...]
-    constants: tuple[dict, ...]
-    verification: tuple[dict, ...]
-
-    def tables(self) -> dict[str, tuple[dict, ...]]:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
-
-def _verification_row(setting: str, rho: float, kappa: float) -> dict:
-    argmins = {}
-    for n in (10_000, 1_000_000):
-        problem = CalibrationProblem(rho=rho, kappa=kappa, n=n)
-        argmins[n] = numeric_minimiser(problem).argmin_a
-    a_star = kappa / (4.0 * rho)
-    return {
-        "setting": setting,
-        "rho": rho,
-        "kappa": kappa,
-        "a_star": a_star,
-        "a_num_1e4": argmins[10_000],
-        "a_num_1e6": argmins[1_000_000],
-        "rel_error_1e6": (argmins[1_000_000] - a_star) / a_star,
-    }
+# verification label -> (setting, its flags before n)
+_EXAMPLES = {
+    "ks": ("ks", (2.0,)),
+    "sign_lambda2": ("sign", (2.0,)),
+    "multinomial_k3": ("chi2", (3,)),
+    "fisher_d2_lambda1": ("fisher", (1.0, 2)),
+}
 
 
-def emit_tables() -> TableBundle:
+def emit_tables() -> dict[str, list[dict]]:
     """Regenerate the KS/chi-squared/Fisher threshold tables plus the
     constants summary and the predicted-vs-numeric verification table."""
     fixed_ks = kolmogorov_quantile(FIXED_ALPHA)
@@ -183,39 +173,36 @@ def emit_tables() -> TableBundle:
                 "radius": report.params["radius"],
             })
 
-    constants_rows = (
-        {"setting": "ks", "rho": 1.0, "kappa_formula": "kappa",
-         "a_star_formula": "kappa/4", "a_star_per_kappa": 0.25},
-        {"setting": "sign", "rho": 0.25, "kappa_formula": "lambda",
-         "a_star_formula": "lambda", "a_star_per_kappa": 1.0},
-        {"setting": "chi2", "rho": 0.25, "kappa_formula": "k-1",
-         "a_star_formula": "k-1", "a_star_per_kappa": 1.0},
-        {"setting": "fisher", "rho": 0.25, "kappa_formula": "lambda+d",
-         "a_star_formula": "lambda+d", "a_star_per_kappa": 1.0},
-    )
+    constants_rows, verification_rows = [], []
+    for label, (setting, flags) in _EXAMPLES.items():
+        calibrator, _, kappa_formula = SETTINGS[setting]
+        report = calibrator(*flags, 10_000)
+        rho, kappa, a_star = report.params["rho"], float(report.params["kappa"]), report.a_star
+        scale = 4.0 * rho
+        constants_rows.append({
+            "setting": setting, "rho": rho, "kappa_formula": kappa_formula,
+            "a_star_formula": kappa_formula if scale == 1.0 else f"{kappa_formula}/{scale:g}",
+            "a_star_per_kappa": 1.0 / scale,
+        })
+        a_num = [numeric_minimiser(CalibrationProblem(rho=rho, kappa=kappa, n=n)).argmin_a
+                 for n in (10_000, 1_000_000)]
+        verification_rows.append({
+            "setting": label, "rho": rho, "kappa": kappa, "a_star": a_star,
+            "a_num_1e4": a_num[0], "a_num_1e6": a_num[1],
+            "rel_error_1e6": (a_num[1] - a_star) / a_star,
+        })
 
-    verification_rows = (
-        _verification_row("ks", 1.0, 2.0),
-        _verification_row("sign_lambda2", 0.25, 2.0),
-        _verification_row("multinomial_k3", 0.25, 2.0),
-        _verification_row("fisher_d2_lambda1", 0.25, 3.0),
-    )
-
-    return TableBundle(
-        ks_thresholds=tuple(ks_rows),
-        chi2_thresholds=tuple(chi2_rows),
-        fisher_radii=tuple(fisher_rows),
-        constants=constants_rows,
-        verification=verification_rows,
-    )
+    return {"ks_thresholds": ks_rows, "chi2_thresholds": chi2_rows,
+            "fisher_radii": fisher_rows, "constants": constants_rows,
+            "verification": verification_rows}
 
 
-def write_tables(bundle: TableBundle, out_dir: str | Path) -> list[Path]:
-    """Serialise the bundle: one CSV per table plus a single JSON document."""
+def write_tables(tables: dict[str, list[dict]], out_dir: str | Path) -> list[Path]:
+    """Serialise ``emit_tables()``: one CSV per table plus a single JSON document."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, rows in bundle.tables().items():
+    for name, rows in tables.items():
         path = out_dir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -223,8 +210,7 @@ def write_tables(bundle: TableBundle, out_dir: str | Path) -> list[Path]:
             writer.writerows(rows)
         written.append(path)
     json_path = out_dir / "tables.json"
-    payload = {"schema": "mdpcal/1",
-               "tables": {name: list(rows) for name, rows in bundle.tables().items()}}
+    payload = {"schema": "mdpcal/1", "tables": tables}
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
     written.append(json_path)

@@ -18,9 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .calibrators import (calibrate_chi2, calibrate_contingency,
-                          calibrate_fisher, calibrate_ks, calibrate_sign,
-                          emit_tables, plugin_threshold, write_tables)
+from .calibrators import SETTINGS, emit_tables, plugin_threshold, write_tables
 from .errors import DomainError
 from .gof_stats import parse_counts, parse_reals
 from .risk_core import CalibrationProblem, numeric_minimiser, regime_series
@@ -78,21 +76,11 @@ def _seed_override(seed: int) -> int:
         raise DomainError(f"MDPCAL_SEED must be an integer, got {env!r}") from None
 
 
-# calibrate setting -> (calibrator, the flags it takes before --n)
-_CALIBRATORS = {
-    "ks": (calibrate_ks, ("kappa",)),
-    "sign": (calibrate_sign, ("lambda",)),
-    "chi2": (calibrate_chi2, ("k",)),
-    "contingency": (calibrate_contingency, ("r", "c")),
-    "fisher": (calibrate_fisher, ("lambda", "d")),
-}
-
-
 # Each handler only computes: it returns (JSON payload, CSV table or None),
 # a table being (header, rows).  main() alone prints.
 
 def _calibrate(args):
-    calibrator, flags = _CALIBRATORS[args.setting]
+    calibrator, flags, _ = SETTINGS[args.setting]
     values = [getattr(args, flag) for flag in flags]
     for flag, value in zip(flags, values):
         if value is None:
@@ -200,7 +188,7 @@ _CONFIG = ("--config", {"required": True})
 # other output form: --csv from the default JSON, --json from the default CSV.
 _COMMANDS = {
     "calibrate": ("Bayes-optimal threshold for one test setting", _calibrate, "--csv", (
-        ("setting", {"choices": list(_CALIBRATORS)}),
+        ("setting", {"choices": list(SETTINGS)}),
         ("--kappa", {"type": float, "help": "prior mass exponent (ks)"}),
         ("--lambda", {"type": float, "help": "prior density exponent (sign, fisher)"}),
         ("--k", {"type": int, "help": "number of categories (chi2)"}),

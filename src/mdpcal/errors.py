@@ -3,6 +3,11 @@ that raise them, including the one reader of JSON input files."""
 
 import json
 import math
+import sys
+
+# The largest float.  A real or a count past it (an int such as 10**400) is
+# rejected, as every formula that uses it converts it to float.
+_FLOAT_MAX = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -17,10 +22,16 @@ class DegenerateSampleError(DomainError):
     """A sample has no dispersion where a scale estimate is required."""
 
 
+def _shown(x) -> str:
+    # An int past float range would print with hundreds of digits.
+    return "an int beyond float range" if type(x) is int and abs(x) > _FLOAT_MAX else repr(x)
+
+
 def require_positive(name: str, x: float) -> None:
-    """Raise DomainError unless 0 < x < inf, so NaN and inf fail too."""
-    if not 0 < x < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {x}")
+    """Raise DomainError unless 0 < x <= _FLOAT_MAX, so NaN, inf and ints past
+    float range fail too."""
+    if not 0 < x <= _FLOAT_MAX:
+        raise DomainError(f"{name} must be positive and finite, got {_shown(x)}")
 
 
 def require_finite(name: str, x: float) -> float:
@@ -32,12 +43,10 @@ def require_finite(name: str, x: float) -> float:
 
 
 def require_count(name: str, n, least: int | None = None) -> int:
-    """Return ``n`` as an int if it is an integer >= ``least`` (any integer
-    when ``least`` is None).
+    """Return ``n`` as an int if it is an integer >= ``least`` and at most
+    _FLOAT_MAX (any integer when ``least`` is None, as for a seed).
 
     NaN, inf, fractional and non-numeric values (None, "7") raise DomainError.
-    The comparisons are exact, so an int beyond float range (10**400) passes
-    unchanged.
     """
     try:
         ok = int(n) == n and (least is None or n >= least)
@@ -45,7 +54,9 @@ def require_count(name: str, n, least: int | None = None) -> int:
         ok = False
     if not ok:
         bound = "" if least is None else f" >= {least}"
-        raise DomainError(f"{name} must be an integer{bound}, got {n!r}")
+        raise DomainError(f"{name} must be an integer{bound}, got {_shown(n)}")
+    if least is not None and n > _FLOAT_MAX:
+        raise DomainError(f"{name} must be at most {_FLOAT_MAX:.4g}")
     return int(n)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,10 +36,6 @@ class CalibrationProblem:
     def __post_init__(self):
         for name in ("rho", "kappa", "w0", "w1"):
             require_positive(name, getattr(self, name))
-        # n must convert to a float, which every risk formula needs; the value
-        # is not shown, as a huge int prints with hundreds of digits.
-        if self.n > sys.float_info.max:
-            raise DomainError(f"n must be at most {sys.float_info.max:.4g}")
         require_count("n", self.n, 2)
 
     @property

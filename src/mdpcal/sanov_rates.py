@@ -19,6 +19,9 @@ from .errors import (NUMBERS, DomainError, load_json_object, require_count,
 from .special_fn import check_simplex, golden_min, kl_bernoulli
 
 _TILT_TOL = 1e-10
+# A problem whose largest |phi| is m 2^e (1/2 <= m < 1) with |e| > _PHI_EXP is
+# solved with phi scaled by 2^-e.
+_PHI_EXP = 10
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,22 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
 
     Returns rate 0 (flagged) when the null mean of phi is already >= 0, and
     the +inf sentinel when every phi_j < 0 makes the half-space unreachable.
+    Raises DomainError when phi, or t*, spans more than the float range.
     """
+    # The half-space is the same for phi / 2^e, and the tilt t phi is
+    # (t 2^e)(phi / 2^e).  At max |phi| in [1/2, 1) the absolute _TILT_TOL
+    # resolves t* and (phi - mean)^2 cannot overflow.
+    e = math.frexp(max(abs(f) for f in problem.phi))[1]
+    if abs(e) > _PHI_EXP:
+        phi = tuple(math.ldexp(f, -e) for f in problem.phi)
+        if any(f != 0.0 and g == 0.0 for f, g in zip(problem.phi, phi)):
+            raise DomainError("phi spans more than the float range: its smallest nonzero "
+                              "|phi_j| is below 2^-1074 of the largest")
+        solution = half_space_rate(TiltedHalfSpace(problem.support, problem.probs, phi))
+        try:
+            return solution._replace(t_star=math.ldexp(solution.t_star, -e))
+        except OverflowError:
+            raise DomainError("t_star lies beyond float range: phi is too small") from None
     if problem.null_mean >= 0.0:
         return HalfSpaceSolution(0.0, 0.0, problem.probs, "null-in-halfspace")
 
@@ -94,18 +112,19 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
 
     t_cap = 1.0
     while _tilt(problem, t_cap)[2] < 0.0:
-        t_cap *= 2.0
+        t_cap = require_finite("the tilt bracket", 2.0 * t_cap)
 
     # Maximise -Lambda on [0, t_cap], i.e. minimise the convex Lambda.
     t_star = golden_min(lambda t: _log_mgf(problem, t), 0.0, t_cap, _TILT_TOL)
     # Newton polish on the stationarity condition: golden-section comparisons
     # flatten into float noise near the optimum, this drives the tilted mean
-    # of phi to the 1e-8 contract and beyond.
+    # of phi to the 1e-8 contract and beyond.  A step out of [0, t_cap]
+    # overshoots a Lambda that is flat in float, and is not taken.
     lam, q, mean, var = _tilt(problem, t_star)
     for _ in range(4):
-        if var <= 0.0:
+        if var <= 0.0 or not 0.0 <= t_star - mean / var <= t_cap:
             break
-        t_star = min(max(t_star - mean / var, 0.0), t_cap)
+        t_star -= mean / var
         lam, q, mean, var = _tilt(problem, t_star)
     return HalfSpaceSolution(-lam, t_star, q, "interior")
 

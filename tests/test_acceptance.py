@@ -99,7 +99,7 @@ def timed_bundle():
 def test_criterion_01_table_ks(timed_bundle):
     bundle, elapsed = timed_bundle
     failures = []
-    rows = {(r["kappa"], r["n"]): r for r in bundle.ks_thresholds}
+    rows = {(r["kappa"], r["n"]): r for r in bundle["ks_thresholds"]}
     for key, (t_ref, a_ref, b_ref) in TABLE_KS.items():
         row = rows[key]
         for column, computed, printed in (
@@ -118,7 +118,7 @@ def test_criterion_01_table_ks(timed_bundle):
 def test_criterion_02_table_chi2(timed_bundle):
     bundle, elapsed = timed_bundle
     failures = []
-    rows = {(r["k"], r["n"]): r for r in bundle.chi2_thresholds}
+    rows = {(r["k"], r["n"]): r for r in bundle["chi2_thresholds"]}
     for key, (crit_ref, a_ref) in TABLE_CHI2.items():
         row = rows[key]
         if abs(row["chi2_star_mdp"] - crit_ref) > last_digit_unit(crit_ref):
@@ -138,7 +138,7 @@ def test_criterion_02_table_chi2(timed_bundle):
 def test_criterion_03_table_fisher(timed_bundle):
     bundle, elapsed = timed_bundle
     failures = []
-    rows = {(r["lambda"], r["d"], r["n"]): r["radius"] for r in bundle.fisher_radii}
+    rows = {(r["lambda"], r["d"], r["n"]): r["radius"] for r in bundle["fisher_radii"]}
     for key, radius_ref in TABLE_FISHER.items():
         if abs(rows[key] - radius_ref) > 1e-4:
             failures.append((key, rows[key], radius_ref))
@@ -150,7 +150,7 @@ def test_criterion_03_table_fisher(timed_bundle):
 def test_criterion_04_verification_table(timed_bundle):
     bundle, elapsed = timed_bundle
     failures = []
-    rows = {r["setting"]: r for r in bundle.verification}
+    rows = {r["setting"]: r for r in bundle["verification"]}
     for setting, (a_star, num_1e4, num_1e6) in TABLE_VERIFICATION.items():
         row = rows[setting]
         if abs(row["a_star"] - a_star) > 1e-12:

@@ -1,5 +1,6 @@
 """Setting calibrators and table regeneration."""
 
+import itertools
 import json
 import math
 
@@ -7,8 +8,9 @@ import pytest
 
 from mdpcal import (DomainError, calibrate_chi2, calibrate_contingency,
                     calibrate_fisher, calibrate_ks, calibrate_sign,
-                    emit_tables, kolmogorov_quantile, plugin_threshold,
-                    write_tables)
+                    emit_tables, kolmogorov_quantile, mdp_truncation_level,
+                    plugin_threshold, write_tables)
+from mdpcal.calibrators import SETTINGS
 
 
 class TestCalibrateKs:
@@ -150,6 +152,45 @@ class TestCalibrateFisher:
         assert calibrate_fisher(0, 2, 100).a_star == pytest.approx(2.0)
 
 
+# Every flag of every setting is drawn from EDGE_FLAGS and n from EDGE_NS, so a
+# new SETTINGS entry is covered without new test code.
+EDGE_FLAGS = (math.nan, math.inf, -math.inf, 0, -1, 5e-324, 1e154, 1.7e308, 2, 3, 3200,
+              10**154, 10**400)
+EDGE_NS = (1, 2, 100, 10**18, 10**308, 10**309, 10**400)
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_edge_grid_gives_a_finite_report_or_domain_error(setting):
+    calibrator, flags, _ = SETTINGS[setting]
+    reports = 0
+    for values in itertools.product(EDGE_FLAGS, repeat=len(flags)):
+        for n in EDGE_NS:
+            try:
+                report = calibrator(*values, n)
+            except DomainError:
+                continue
+            reports += 1
+            params = dict(report.params)
+            # the documented sentinel: an int, or inf past float range
+            crossing = params.pop("fixed_alpha_crossing_n", 0)
+            assert type(crossing) is int or crossing == math.inf
+            reals = [report.a_star, report.t_star, report.alpha_star, report.risk_star,
+                     *(v for v in params.values() if type(v) is float)]
+            assert all(map(math.isfinite, reals)), (values, n, report)
+    assert reports > 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: calibrate_contingency(10**200, 10**200, 100),
+    lambda: plugin_threshold(10**400, 1, 100),
+    lambda: mdp_truncation_level(10**400, 100),
+])
+def test_integers_past_float_range_off_the_edge_grid_are_domain_errors(call):
+    # each raised OverflowError: int too large to convert to float
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.fixture(scope="module")
 def bundle():
     return emit_tables()
@@ -158,20 +199,20 @@ def bundle():
 class TestTables:
 
     def test_ks_cell(self, bundle):
-        cell = next(r for r in bundle.ks_thresholds if r["kappa"] == 5 and r["n"] == 10_000)
+        cell = next(r for r in bundle["ks_thresholds"] if r["kappa"] == 5 and r["n"] == 10_000)
         assert cell["t_star_mdp"] == pytest.approx(3.393, abs=1e-3)
 
     def test_fisher_cell(self, bundle):
-        cell = next(r for r in bundle.fisher_radii
+        cell = next(r for r in bundle["fisher_radii"]
                     if r["lambda"] == 1 and r["d"] == 5 and r["n"] == 100_000)
         assert cell["radius"] == pytest.approx(0.0263, abs=1e-4)
 
     def test_verification_ks_minimiser(self, bundle):
-        row = next(r for r in bundle.verification if r["setting"] == "ks")
+        row = next(r for r in bundle["verification"] if r["setting"] == "ks")
         assert row["a_num_1e6"] == pytest.approx(0.53, abs=0.005)
 
     def test_constants_rows_encode_a_star(self, bundle):
-        for row in bundle.constants:
+        for row in bundle["constants"]:
             assert row["a_star_per_kappa"] == pytest.approx(1.0 / (4.0 * row["rho"]), rel=1e-15)
 
     def test_serialisation_roundtrip(self, bundle, tmp_path):

@@ -362,6 +362,32 @@ def test_non_finite_or_fractional_input_exits_2(capsys, argv):
     assert err.startswith("error: ")
 
 
+# Each printed the raw "int too large to convert to float" before.
+HUGE = str(10**400)
+HUGE_INT_ARGV = [
+    f"calibrate chi2 --k {HUGE} --n 100",
+    f"calibrate contingency --r {10**200} --c {10**200} --n 100",
+    f"calibrate fisher --lambda 1 --d {HUGE} --n 100",
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_INT_ARGV, ids=lambda argv: argv.split()[1])
+def test_integer_past_float_range_exits_2_with_a_domain_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be at most 1.798e+308" in err
+
+
+def test_sanov_phi_past_float_range_exits_2_naming_phi(capsys, tmp_path):
+    # exited 2 with the raw "(34, 'Numerical result out of range')"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"support": [0, 1], "probs": [0.999999, 0.000001],
+                                "phi": [-1e300, 1e-300]}))
+    code, out, err = run_cli(capsys, "sanov", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: phi spans more than the float range")
+
+
 # Each ended in a Python traceback before: a directory raised IsADirectoryError,
 # a non-object payload or a wrong-typed field a TypeError.
 MALFORMED_INPUTS = [

@@ -13,16 +13,27 @@ def test_require_positive_passes_positive_finite_values():
     require_positive("x", 1.7e308)
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf, 10**309, 10**400])
 def test_require_positive_rejects(x):
     with pytest.raises(DomainError, match="x must be positive and finite"):
         require_positive("x", x)
 
 
-@pytest.mark.parametrize("n", [2, 2.0, 10**400])
+@pytest.mark.parametrize("n", [2, 2.0, 10**308, 1.7e308])
 def test_require_count_passes_integers(n):
     assert require_count("n", n, 2) == n
     assert type(require_count("n", n, 2)) is int
+
+
+@pytest.mark.parametrize("n", [10**309, 10**400, 10**5000], ids=["1e309", "1e400", "1e5000"])
+def test_require_count_rejects_counts_past_float_range(n):
+    with pytest.raises(DomainError, match="n must be at most 1.798e\\+308$"):
+        require_count("n", n, 2)
+
+
+@pytest.mark.parametrize("seed", [10**400, -10**400])
+def test_require_count_without_floor_passes_any_integer(seed):
+    assert require_count("seed", seed) == seed
 
 
 @pytest.mark.parametrize("n", [1, 1.0, 2.5, math.nan, math.inf, -math.inf, -10**400])

@@ -28,7 +28,7 @@ def _half_space_problems(rng, count):
 
 
 def _lines():
-    for name, rows in emit_tables().tables().items():
+    for name, rows in emit_tables().items():
         for row in rows:
             yield name, *row.values()
     rng = random.Random(20260219)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mdpcal import (DecaySpec, DomainError, TiltedHalfSpace, bahadur_slopes,
-                    distinguishability_radius, half_space_rate, kl_bernoulli,
-                    kl_multinomial, load_half_space, mdp_truncation_level)
+                    calibrate_sign, distinguishability_radius, half_space_rate,
+                    kl_bernoulli, kl_multinomial, load_half_space,
+                    mdp_truncation_level)
 
 
 def bernoulli_problem(q: float, cut: float) -> TiltedHalfSpace:
@@ -139,6 +140,43 @@ class TestHalfSpaceRate:
             assert solution.rate == pytest.approx(
                 kl_multinomial(solution.tilted_probs, problem.probs), abs=1e-9)
 
+    @pytest.mark.parametrize("exponent", [-300, -100, -20, -5, *range(0, 301, 10), 308])
+    def test_rate_does_not_depend_on_the_scale_of_phi(self, exponent):
+        # {G : G_1 (-c) + G_2 (1e-5 c) >= 0} is G_1 <= g for every scale c; the
+        # rate was off by 2.2% at c = 1e12 and -3.96 at 1e16, and raised
+        # OverflowError from c ~ 1.3e154.
+        c = 1.7e308 if exponent == 308 else 10.0 ** exponent
+        problem = TiltedHalfSpace((0.0, 1.0), (0.5, 0.5), (-c, 1e-5 * c))
+        g = 1e-5 / (1.0 + 1e-5)
+        solution = half_space_rate(problem)
+        assert solution.status == "interior"
+        assert solution.rate == pytest.approx(kl_bernoulli(g, 0.5), abs=1e-9)
+        mean = sum(q * f / c for q, f in zip(solution.tilted_probs, problem.phi))
+        assert abs(mean) <= 1e-12
+        # q_2 / q_1 = e^{t (phi_2 - phi_1)} = (1 - g) / g
+        assert solution.t_star * c * (1.0 + 1e-5) == pytest.approx(math.log((1.0 - g) / g),
+                                                                  rel=1e-9)
+
+    @pytest.mark.parametrize("small", [1e-12, 1e-17, 1e-20])
+    def test_newton_polish_keeps_the_golden_point_on_a_flat_dual(self, small):
+        # Lambda is flat in float past t ~ 40 here; the first Newton step left
+        # [0, t_cap], was clamped to 0, and the rate came out 0.678 (not ln 2).
+        problem = TiltedHalfSpace((0.0, 1.0), (0.5, 0.5), (-1.0, small))
+        g = small / (1.0 + small)
+        assert half_space_rate(problem).rate == pytest.approx(
+            math.log(2.0) + g * math.log(g) + (1.0 - g) * math.log1p(-g), abs=1e-12)
+
+    @pytest.mark.parametrize("probs, phi, match", [
+        ((0.999999, 0.000001), (-1e300, 1e-300), "phi spans more than the float range"),
+        ((0.5, 0.5), (-1.7e308, 1e-300), "phi spans more than the float range"),
+        ((0.5, 0.5), (-1e-320, 1e-321), "t_star lies beyond float range"),
+        ((0.5, 0.25, 0.25), (-1.0, -4e-323, 1e-323), "tilt bracket is not finite"),
+    ])
+    def test_tilt_past_float_range_is_domain_error(self, probs, phi, match):
+        problem = TiltedHalfSpace(tuple(range(len(phi))), probs, phi)
+        with pytest.raises(DomainError, match=match):
+            half_space_rate(problem)
+
     def test_json_ingestion(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({"support": [0, 1], "probs": [0.5, 0.5],
@@ -177,6 +215,18 @@ class TestTruncationLevel:
     def test_non_finite_inputs_rejected(self, kappa, n):
         with pytest.raises(DomainError):
             mdp_truncation_level(kappa, n)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0, 5.0])
+    def test_sign_threshold_half_space_is_the_log_n_truncation(self, lam):
+        # The Sanov rate of the sign test's rejection set {count >= threshold}
+        # is (lambda/2) ln n / n to leading order; the excess tracks
+        # lambda ln n / (6 n).
+        for n in (10**2, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8):
+            cut = calibrate_sign(lam, n).params["count_threshold"] / n
+            rate = half_space_rate(bernoulli_problem(0.5, cut)).rate
+            assert rate == pytest.approx(kl_bernoulli(cut, 0.5), rel=1e-9)
+            excess = rate / mdp_truncation_level(lam, n) - 1.0
+            assert 0.0 < excess <= lam * math.log(n) / (3.0 * n)
 
     def test_monotone_in_n_linear_in_kappa(self):
         levels = [mdp_truncation_level(2, n) for n in range(3, 200)]
