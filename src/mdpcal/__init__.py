@@ -25,9 +25,10 @@ from .triangulation import MultinomialEvidence, evidence_bundle
 
 __version__ = "0.1.0"
 
-# The Monte-Carlo names live in mc_engine, the only module that needs numpy.
-# They are imported on first access (PEP 562) so that the closed-form API and
-# CLI never pay for numpy.
+# The Monte-Carlo names live in mc_engine, the one module that imports numpy
+# at import time.  They are imported on first access (PEP 562), and the sample
+# kernels behind ks_statistic and sign_count load numpy on first call, so that
+# the closed-form API and CLI never pay for numpy.
 _MC_NAMES = ("ExponentFit", "McConfig", "McRiskResult", "McRun", "PriorSpec",
              "estimate_prior_exponent", "fit_power_law", "load_mc_config",
              "load_exponent_config", "mc_bayes_risk", "substream")

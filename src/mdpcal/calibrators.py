@@ -80,7 +80,7 @@ def calibrate_contingency(r: int, c: int, n: int) -> ThresholdReport:
     """Independence-test calibration with nu = (r-1)(c-1) degrees of freedom."""
     require_count("row categories r", r, 2)
     require_count("column categories c", c, 2)
-    nu = (r - 1) * (c - 1)
+    nu = require_count("degrees of freedom (r-1)(c-1)", (r - 1) * (c - 1), 1)
     report = calibrate_chi2(nu + 1, n)
     params = dict(report.params)
     params.update({"r": int(r), "c": int(c), "nu": nu})

@@ -184,18 +184,30 @@ _RHO = ("--rho", {"type": float, "required": True})
 _KAPPA = ("--kappa", {"type": float, "required": True})
 _CONFIG = ("--config", {"required": True})
 
+# calibrate flag -> (type, description); the settings that take it come from SETTINGS.
+_SETTING_FLAGS = {"kappa": (float, "prior mass exponent"),
+                  "lambda": (float, "prior density exponent"),
+                  "k": (int, "number of categories"), "r": (int, "row categories"),
+                  "c": (int, "column categories"), "d": (int, "parameter dimension")}
+
+
+def _calibrate_flags():
+    # Each flag once, in order of first use in SETTINGS; its help names its settings.
+    taken_by = {}
+    for setting, (_, flags, _) in SETTINGS.items():
+        for flag in flags:
+            taken_by.setdefault(flag, []).append(setting)
+    return tuple((f"--{flag}", {"type": _SETTING_FLAGS[flag][0],
+                                "help": f"{_SETTING_FLAGS[flag][1]} ({', '.join(settings)})"})
+                 for flag, settings in taken_by.items())
+
+
 # name -> (help, handler, format flag, flags).  The format flag switches to the
 # other output form: --csv from the default JSON, --json from the default CSV.
 _COMMANDS = {
     "calibrate": ("Bayes-optimal threshold for one test setting", _calibrate, "--csv", (
         ("setting", {"choices": list(SETTINGS)}),
-        ("--kappa", {"type": float, "help": "prior mass exponent (ks)"}),
-        ("--lambda", {"type": float, "help": "prior density exponent (sign, fisher)"}),
-        ("--k", {"type": int, "help": "number of categories (chi2)"}),
-        ("--r", {"type": int, "help": "row categories (contingency)"}),
-        ("--c", {"type": int, "help": "column categories (contingency)"}),
-        ("--d", {"type": int, "help": "parameter dimension (fisher)"}),
-        _N)),
+        *_calibrate_flags(), _N)),
     "risk-curve": ("deterministic risk curve over the threshold parameter a", _risk_curve,
                    "--json", (_RHO, _KAPPA, _N, ("--a-min", {"type": float}),
                               ("--a-max", {"type": float}),

@@ -3,7 +3,8 @@
 Covers the statistics the calibrators put thresholds on: the Kolmogorov-Smirnov
 statistic against a reference CDF, Pearson chi-squared for count data, the sign
 count and sample median, the one-sided Laplace location LRT, and the
-normal-versus-Laplace log-evidence contrast.
+normal-versus-Laplace log-evidence contrast.  KS and sign are one-row calls of
+the ``mc_engine`` row kernels ``ks_rows`` and ``sign_rows``, which load numpy on first call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class SampleBatch:
     sorted_values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        try:
+            values = tuple(map(float, self.values))
+        except (TypeError, ValueError, OverflowError):  # None, "x", 10**400
+            raise DomainError("sample values must be reals in float range") from None
         if not values:
             raise DomainError("sample batch must be nonempty")
         # A finite sum proves every value finite at C speed; only an overflowed
@@ -84,17 +88,27 @@ def _validate_simplex(p0: Sequence[float], k: int) -> tuple[float, ...]:
     return p0
 
 
-def ks_statistic(batch: SampleBatch, f0: Callable[[float], float]) -> float:
-    """sup_t |F_n(t) - F0(t)| via the order-statistic formula.
+def ks_rows(u):
+    """Order-statistic sup_t |F_n(t) - F0(t)| per row of u = F0(sorted sample); ties are fine."""
+    import numpy as np
+    n = u.shape[-1]
+    i = np.arange(1, n + 1)
+    return np.maximum(np.max(i / n - u, axis=-1), np.max(u - (i - 1) / n, axis=-1))
 
-    Ties are fine; duplicates just repeat grid points.
-    """
-    n = batch.n
-    stat = 0.0
-    for i, x in enumerate(batch.sorted_values, start=1):
-        u = f0(x)
-        stat = max(stat, i / n - u, u - (i - 1) / n)
-    return stat
+
+def sign_rows(x):
+    """Number of strictly positive entries in each row of ``x``."""
+    import numpy as np
+    return np.count_nonzero(x > 0, axis=-1)
+
+
+def ks_statistic(batch: SampleBatch, f0: Callable[[float], float]) -> float:
+    """``ks_rows`` on the one row F0(sorted sample); DomainError if F0 leaves [0, 1]."""
+    import numpy as np
+    u = np.fromiter(map(f0, batch.sorted_values), float, batch.n)
+    if not ((u >= 0.0) & (u <= 1.0)).all():
+        raise DomainError("the reference CDF must take values in [0, 1]")
+    return float(ks_rows(u))
 
 
 def pearson_chi2(counts: CountVector, p0: Sequence[float]) -> float:
@@ -105,8 +119,9 @@ def pearson_chi2(counts: CountVector, p0: Sequence[float]) -> float:
 
 
 def sign_count(batch: SampleBatch) -> int:
-    """Number of strictly positive observations."""
-    return sum(1 for x in batch.values if x > 0)
+    """Number of strictly positive observations: ``sign_rows`` on one row."""
+    import numpy as np
+    return int(sign_rows(np.fromiter(batch.values, float, batch.n)))
 
 
 def sample_median(batch: SampleBatch) -> float:

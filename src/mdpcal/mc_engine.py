@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (NUMBER, NUMBERS, OBJECT, STRING, DomainError, load_json_object,
                      require_count, require_fields, require_positive)
+from .gof_stats import ks_rows, sign_rows
 from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
 
 RNG_STREAM = 2
@@ -203,19 +204,13 @@ def _laplace_cdf(x: np.ndarray) -> np.ndarray:
 
 def _ks_rows(data: np.ndarray) -> np.ndarray:
     # sqrt(n) * sup|F_n - F0| per row, F0 the standard Laplace CDF.
-    n = data.shape[1]
-    u = _laplace_cdf(np.sort(data, axis=1))
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - u, axis=1)
-    d_minus = np.max(u - (i - 1) / n, axis=1)
-    return math.sqrt(n) * np.maximum(d_plus, d_minus)
+    return math.sqrt(data.shape[1]) * ks_rows(_laplace_cdf(np.sort(data, axis=1)))
 
 
 def _sign_rows(data: np.ndarray) -> np.ndarray:
     # Gaussianised sign count (V - n/2) / (sqrt(n)/2).
     n = data.shape[1]
-    v = np.count_nonzero(data > 0, axis=1)
-    return (v - 0.5 * n) / (0.5 * math.sqrt(n))
+    return (sign_rows(data) - 0.5 * n) / (0.5 * math.sqrt(n))
 
 _STAT_FN = {"ks": _ks_rows, "sign": _sign_rows}
 STATISTICS = tuple(_STAT_FN)

@@ -138,6 +138,12 @@ class TestCalibrateContingency:
             assert cont.alpha_star == chi2.alpha_star
             assert cont.params["chi2_critical"] == chi2.params["chi2_critical"]
 
+    def test_degrees_of_freedom_past_float_range_name_r_and_c(self):
+        # r and c are in float range but (r-1)(c-1) is not; the message named
+        # chi2's "number of categories", a k the caller never gave, before.
+        with pytest.raises(DomainError, match=r"^degrees of freedom \(r-1\)\(c-1\) must be"):
+            calibrate_contingency(10**200, 10**200, 100)
+
 
 class TestCalibrateFisher:
     def test_table_rows(self):

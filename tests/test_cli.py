@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from mdpcal.cli import main
+from mdpcal.cli import _COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +376,29 @@ def test_integer_past_float_range_exits_2_with_a_domain_message(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "must be at most 1.798e+308" in err
+
+
+def test_contingency_degrees_of_freedom_past_float_range_exit_2_naming_r_and_c(capsys):
+    code, out, err = run_cli(capsys, "calibrate", "contingency", "--r", str(10**200),
+                             "--c", str(10**200), "--n", "100")
+    assert (code, out) == (2, "")
+    assert err == "error: degrees of freedom (r-1)(c-1) must be at most 1.798e+308\n"
+
+
+def test_calibrate_flag_help_names_the_settings_that_take_the_flag():
+    flags = {flag: (kwargs.get("type"), kwargs.get("help"))
+             for flag, kwargs in _COMMANDS["calibrate"][3]}
+    assert flags == {
+        "setting": (None, None),
+        "--kappa": (float, "prior mass exponent (ks)"),
+        "--lambda": (float, "prior density exponent (sign, fisher)"),
+        "--k": (int, "number of categories (chi2)"),
+        "--r": (int, "row categories (contingency)"),
+        "--c": (int, "column categories (contingency)"),
+        "--d": (int, "parameter dimension (fisher)"),
+        "--n": (int, "sample size"),
+    }
+    assert list(flags)[1:-1] == ["--kappa", "--lambda", "--k", "--r", "--c", "--d"]
 
 
 def test_sanov_phi_past_float_range_exits_2_naming_phi(capsys, tmp_path):

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdpcal import (CountVector, DegenerateSampleError, DomainError,
@@ -67,7 +68,33 @@ class TestKsStatistic:
         assert self._null_law_distance(seed=11, reps=10_000, n=100) < 0.045
         assert self._null_law_distance(seed=11, reps=10_000, n=1000) < 0.02
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, 2.0])
+    def test_reference_cdf_outside_unit_interval_rejected(self, bad):
+        # NaN gave 0.0 (a perfect fit) and 2.0 or -1.0 a KS of 2.0 before.
+        batch = SampleBatch((0.1, 0.5, 0.9))
+        with pytest.raises(DomainError):
+            ks_statistic(batch, lambda x: bad)
+        with pytest.raises(DomainError):
+            ks_statistic(batch, lambda x: bad if x == 0.5 else x)
+
+    # Samples with ties (values drawn from a short list) and values outside
+    # the support [0, 1] of the uniform reference CDF.
+    @given(st.lists(st.floats(-0.5, 1.5) | st.sampled_from((0.0, 0.25, 1.0, -2.0)),
+                    min_size=1, max_size=60))
+    @example([0.3])
+    @example([1.0, 1.0, 0.0])
+    @settings(deadline=None, max_examples=300)
+    def test_matches_scipy_kstest_and_the_loop(self, values):
+        batch = SampleBatch(tuple(values))
+        expected = scipy.stats.kstest(values, scipy.stats.uniform.cdf).statistic
+        n = len(values)
+        loop = max(max(i / n - u, u - (i - 1) / n)
+                   for i, u in enumerate(sorted(map(uniform_cdf, values)), start=1))
+        assert ks_statistic(batch, uniform_cdf) == expected == loop
+
+    # None, "x" and 10**400 raised TypeError, ValueError and OverflowError before.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="10**400"), "x", None])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(DomainError):
             SampleBatch((bad, 1.0))
@@ -144,6 +171,14 @@ class TestSignAndMedian:
 
     def test_zero_is_not_positive(self):
         assert sign_count(SampleBatch((0.0, 1.0))) == 1
+
+    @given(st.lists(st.floats(-3, 3) | st.sampled_from((0.0, -0.0, 5e-324, -5e-324)),
+                    min_size=1, max_size=60))
+    @settings(deadline=None, max_examples=200)
+    def test_sign_count_is_a_plain_count(self, values):
+        count = sign_count(SampleBatch(tuple(values)))
+        assert type(count) is int
+        assert count == len([x for x in values if x > 0])
 
 
 class TestLaplaceLrt:

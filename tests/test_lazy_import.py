@@ -1,4 +1,4 @@
-"""numpy stays out of the process until a Monte-Carlo name is used."""
+"""numpy stays out of the process until a Monte-Carlo name or a sample kernel is used."""
 
 import os
 import subprocess
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mdpcal
+from mdpcal import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -30,14 +31,51 @@ def _fresh_modules(code: str) -> set[str]:
 @pytest.mark.parametrize("code", [
     "import mdpcal",
     "import mdpcal.cli",
-    "from mdpcal.cli import main; main(['plugin', '--kappa-hat', '2', '--rho', '1', "
-    "'--n', '10000'])",
-    "from mdpcal.cli import main; main(['calibrate', 'ks', '--kappa', '2', '--n', '10000'])",
+    "import mdpcal.gof_stats as g; from mdpcal import evidence_bundle; "
+    "c = g.CountVector((7, 3)); g.pearson_chi2(c, (0.5, 0.5)); evidence_bundle(c, (0.5, 0.5))",
 ])
 def test_closed_form_paths_do_not_load_numpy(code):
     modules = _fresh_modules(code)
     assert "mdpcal" in modules
     assert "numpy" not in modules
+    assert "mdpcal.mc_engine" not in modules
+
+
+# One succeeding argv per closed-form subcommand: every cli._COMMANDS entry but
+# the Monte-Carlo ones.  {tmp} stands for a per-test directory.
+MC_COMMANDS = {"mc", "prior-exponent"}
+CLOSED_FORM_ARGV = {
+    "calibrate": "calibrate ks --kappa 2 --n 10000",
+    "risk-curve": "risk-curve --rho 1 --kappa 2 --n 10000",
+    "regimes": "regimes --rho 1 --kappa 2 --alpha 0.05 --n-list 100,10000",
+    "tables": "tables --out-dir {tmp}/tables",
+    "sanov": "sanov --input {tmp}/sanov.json",
+    "truncation": "truncation --kappa 2 --n 10000",
+    "radius": "radius --rho 1 --poly 1 --n 10000",
+    "slopes": "slopes --theta-list 0.5,1",
+    "triangulate": "triangulate --counts 7,3 --theta0 0.5,0.5",
+    "plugin": "plugin --kappa-hat 2 --rho 1 --n 10000",
+}
+
+
+def test_every_closed_form_command_has_an_argv():
+    assert set(CLOSED_FORM_ARGV) == set(cli._COMMANDS) - MC_COMMANDS
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM_ARGV))
+def test_closed_form_command_does_not_load_numpy(command, tmp_path):
+    (tmp_path / "sanov.json").write_text(
+        '{"support": [0, 1], "probs": [0.5, 0.5], "phi": [-1, 1]}')
+    argv = [token.format(tmp=tmp_path) for token in CLOSED_FORM_ARGV[command].split()]
+    modules = _fresh_modules(f"from mdpcal.cli import main; assert main({argv!r}) == 0")
+    assert "numpy" not in modules
+    assert "mdpcal.mc_engine" not in modules
+
+
+def test_data_kernels_load_numpy_but_not_the_engine():
+    modules = _fresh_modules("import mdpcal as g; b = g.SampleBatch((-1.0, 0.5)); "
+                             "g.sign_count(b); g.ks_statistic(b, lambda x: 0.5)")
+    assert "numpy" in modules
     assert "mdpcal.mc_engine" not in modules
 
 
