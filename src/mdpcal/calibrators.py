@@ -4,11 +4,11 @@ Each calibrator maps problem parameters to a ThresholdReport: the KS test
 (rho=1), the Laplace sign test (rho=1/4), multinomial chi-squared and
 contingency-table independence (rho=1/4, kappa = degrees of freedom), and the
 Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  Each rho is
-written once, in its calibrator.  ``SETTINGS`` names the settings: the CLI
-dispatches through it, and ``emit_tables`` reads rho and kappa off calibrated
-reports to build the constants and verification tables.  The plug-in
-threshold for an estimated kappa lives here too.  All reported thresholds are
-leading-order; log log n correction terms are intentionally dropped.
+written once, in its calibrator.  ``SETTINGS`` holds one ``Setting`` record
+per setting; the CLI dispatches through it, and ``emit_tables`` builds every
+table from its table grids and examples.  The plug-in threshold for an
+estimated kappa lives here too.  All reported thresholds are leading-order;
+log log n correction terms are intentionally dropped.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, require_count, require_finite, require_positive
 from .risk_core import (CalibrationProblem, ThresholdReport, analytic_optimum,
@@ -25,13 +26,6 @@ from .risk_core import (CalibrationProblem, ThresholdReport, analytic_optimum,
 from .special_fn import chi2_quantile, kolmogorov_quantile
 
 FIXED_ALPHA = 0.95
-
-KS_TABLE_KAPPAS = (1, 2, 5, 10)
-KS_TABLE_NS = (100, 1_000, 10_000, 1_000_000)
-CHI2_TABLE_KS = (3, 4, 10)
-CHI2_TABLE_NS = (100, 1_000, 10_000)
-FISHER_TABLE_SETTINGS = ((1, 1), (1, 2), (2, 3), (1, 5))
-FISHER_TABLE_NS = (100, 1_000, 10_000, 100_000)
 
 
 def calibrate_ks(kappa: float, n: int) -> ThresholdReport:
@@ -110,72 +104,64 @@ def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
     return require_finite("threshold", math.sqrt(kappa_hat / (4.0 * rho) * math.log(n)))
 
 
-# setting -> (calibrator, the flags it takes before n, kappa as a formula of
-# those flags).  contingency is chi2 with k - 1 = (r-1)(c-1), so it has no
-# formula, and no constants or verification row, of its own.
+class Setting(NamedTuple):
+    """One test setting.  ``flags`` are the calibrator's arguments before n, and
+    ``kappa_formula`` is kappa as a formula of them.  ``table`` is (table name,
+    flag tuples, sample sizes, column -> report field), a field being a
+    ThresholdReport field, a ``params`` key or ``bayes_risk_star``
+    (``optimal_risk_rate``).  ``example`` is (verification label, flags) for
+    the constants and verification rows.  The last three may be None."""
+
+    calibrator: Callable[..., ThresholdReport]
+    flags: tuple[str, ...]
+    kappa_formula: str | None
+    table: tuple[str, tuple[tuple, ...], tuple[int, ...], dict[str, str]] | None
+    example: tuple[str, tuple] | None
+
+
+# contingency is chi2 with k - 1 = (r-1)(c-1), so it has no formula, table or
+# example of its own.
 SETTINGS = {
-    "ks": (calibrate_ks, ("kappa",), "kappa"),
-    "sign": (calibrate_sign, ("lambda",), "lambda"),
-    "chi2": (calibrate_chi2, ("k",), "k-1"),
-    "contingency": (calibrate_contingency, ("r", "c"), None),
-    "fisher": (calibrate_fisher, ("lambda", "d"), "lambda+d"),
+    "ks": Setting(calibrate_ks, ("kappa",), "kappa", (
+        "ks_thresholds", ((1,), (2,), (5,), (10,)), (100, 1_000, 10_000, 1_000_000),
+        {"kappa": "kappa", "n": "n", "t_star_mdp": "t_star",
+         "t_fixed_alpha": "fixed_alpha_quantile", "alpha_star": "alpha_star",
+         "bayes_risk_star": "bayes_risk_star"}), ("ks", (2.0,))),
+    "sign": Setting(calibrate_sign, ("lambda",), "lambda", None, ("sign_lambda2", (2.0,))),
+    "chi2": Setting(calibrate_chi2, ("k",), "k-1", (
+        "chi2_thresholds", ((3,), (4,), (10,)), (100, 1_000, 10_000),
+        {"k": "k", "kappa": "kappa", "n": "n", "chi2_star_mdp": "chi2_critical",
+         "chi2_fixed_alpha": "chi2_fixed_alpha", "alpha_star": "alpha_star"}),
+        ("multinomial_k3", (3,))),
+    "contingency": Setting(calibrate_contingency, ("r", "c"), None, None, None),
+    "fisher": Setting(calibrate_fisher, ("lambda", "d"), "lambda+d", (
+        "fisher_radii", ((1, 1), (1, 2), (2, 3), (1, 5)), (100, 1_000, 10_000, 100_000),
+        {"lambda": "lambda", "d": "d", "kappa": "kappa", "n": "n", "radius": "radius"}),
+        ("fisher_d2_lambda1", (1.0, 2))),
 }
 
-# verification label -> (setting, its flags before n)
-_EXAMPLES = {
-    "ks": ("ks", (2.0,)),
-    "sign_lambda2": ("sign", (2.0,)),
-    "multinomial_k3": ("chi2", (3,)),
-    "fisher_d2_lambda1": ("fisher", (1.0, 2)),
-}
+
+def _field(report: ThresholdReport, name: str):
+    if name == "bayes_risk_star":
+        return optimal_risk_rate(report.params["kappa"], report.params["n"])
+    return report.params[name] if name in report.params else getattr(report, name)
 
 
 def emit_tables() -> dict[str, list[dict]]:
-    """Regenerate the KS/chi-squared/Fisher threshold tables plus the
-    constants summary and the predicted-vs-numeric verification table."""
-    fixed_ks = kolmogorov_quantile(FIXED_ALPHA)
-
-    ks_rows = []
-    for kappa in KS_TABLE_KAPPAS:
-        for n in KS_TABLE_NS:
-            report = calibrate_ks(kappa, n)
-            ks_rows.append({
-                "kappa": kappa,
-                "n": n,
-                "t_star_mdp": report.t_star,
-                "t_fixed_alpha": fixed_ks,
-                "alpha_star": report.alpha_star,
-                "bayes_risk_star": optimal_risk_rate(kappa, n),
-            })
-
-    chi2_rows = []
-    for k in CHI2_TABLE_KS:
-        for n in CHI2_TABLE_NS:
-            report = calibrate_chi2(k, n)
-            chi2_rows.append({
-                "k": k,
-                "kappa": k - 1,
-                "n": n,
-                "chi2_star_mdp": report.params["chi2_critical"],
-                "chi2_fixed_alpha": report.params["chi2_fixed_alpha"],
-                "alpha_star": report.alpha_star,
-            })
-
-    fisher_rows = []
-    for lam, d in FISHER_TABLE_SETTINGS:
-        for n in FISHER_TABLE_NS:
-            report = calibrate_fisher(lam, d, n)
-            fisher_rows.append({
-                "lambda": lam,
-                "d": d,
-                "kappa": lam + d,
-                "n": n,
-                "radius": report.params["radius"],
-            })
-
+    """Regenerate each setting's threshold table plus the constants summary and
+    the predicted-vs-numeric verification table."""
+    tables = {}
+    for setting in SETTINGS.values():
+        if setting.table is not None:
+            name, flag_tuples, ns, columns = setting.table
+            reports = (setting.calibrator(*flags, n) for flags in flag_tuples for n in ns)
+            tables[name] = [{column: _field(report, field) for column, field in columns.items()}
+                            for report in reports]
     constants_rows, verification_rows = [], []
-    for label, (setting, flags) in _EXAMPLES.items():
-        calibrator, _, kappa_formula = SETTINGS[setting]
+    for setting, (calibrator, _, kappa_formula, _, example) in SETTINGS.items():
+        if example is None:
+            continue
+        label, flags = example
         report = calibrator(*flags, 10_000)
         rho, kappa, a_star = report.params["rho"], float(report.params["kappa"]), report.a_star
         scale = 4.0 * rho
@@ -191,10 +177,7 @@ def emit_tables() -> dict[str, list[dict]]:
             "a_num_1e4": a_num[0], "a_num_1e6": a_num[1],
             "rel_error_1e6": (a_num[1] - a_star) / a_star,
         })
-
-    return {"ks_thresholds": ks_rows, "chi2_thresholds": chi2_rows,
-            "fisher_radii": fisher_rows, "constants": constants_rows,
-            "verification": verification_rows}
+    return {**tables, "constants": constants_rows, "verification": verification_rows}
 
 
 def write_tables(tables: dict[str, list[dict]], out_dir: str | Path) -> list[Path]:

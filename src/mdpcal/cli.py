@@ -80,12 +80,12 @@ def _seed_override(seed: int) -> int:
 # a table being (header, rows).  main() alone prints.
 
 def _calibrate(args):
-    calibrator, flags, _ = SETTINGS[args.setting]
-    values = [getattr(args, flag) for flag in flags]
-    for flag, value in zip(flags, values):
+    setting = SETTINGS[args.setting]
+    values = [getattr(args, flag) for flag in setting.flags]
+    for flag, value in zip(setting.flags, values):
         if value is None:
             raise UsageError(f"calibrate {args.setting} requires --{flag}")
-    report = calibrator(*values, args.n)
+    report = setting.calibrator(*values, args.n)
     head = {"setting": report.setting, "a_star": report.a_star, "t_star": report.t_star,
             "alpha_star": report.alpha_star, "risk_star": report.risk_star}
     params = dict(report.params)
@@ -194,9 +194,9 @@ _SETTING_FLAGS = {"kappa": (float, "prior mass exponent"),
 def _calibrate_flags():
     # Each flag once, in order of first use in SETTINGS; its help names its settings.
     taken_by = {}
-    for setting, (_, flags, _) in SETTINGS.items():
-        for flag in flags:
-            taken_by.setdefault(flag, []).append(setting)
+    for name, setting in SETTINGS.items():
+        for flag in setting.flags:
+            taken_by.setdefault(flag, []).append(name)
     return tuple((f"--{flag}", {"type": _SETTING_FLAGS[flag][0],
                                 "help": f"{_SETTING_FLAGS[flag][1]} ({', '.join(settings)})"})
                  for flag, settings in taken_by.items())

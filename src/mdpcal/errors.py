@@ -61,13 +61,21 @@ def require_count(name: str, n, least: int | None = None) -> int:
 
 
 NUMBER = "a number"
-NUMBERS = "an array of numbers"
+REAL = "a number in float range"
+REALS = "an array of numbers in float range"
 OBJECT = "an object"
 STRING = "a string"
 
+
+def _is_real(v) -> bool:
+    # An int such as 10**400 is a JSON number but no float.
+    return type(v) is float or type(v) is int and abs(v) <= _FLOAT_MAX
+
+
 _IS_KIND = {
     NUMBER: lambda v: type(v) in (int, float),
-    NUMBERS: lambda v: type(v) is list and all(type(x) in (int, float) for x in v),
+    REAL: _is_real,
+    REALS: lambda v: type(v) is list and all(map(_is_real, v)),
     OBJECT: lambda v: type(v) is dict,
     STRING: lambda v: type(v) is str,
 }
@@ -75,7 +83,9 @@ _IS_KIND = {
 
 def require_fields(payload, what: str, fields: dict[str, str], optional=()) -> dict:
     """Return ``payload`` if it is a JSON object whose ``fields`` have the given
-    kinds (NUMBER, NUMBERS, OBJECT or STRING).
+    kinds (NUMBER, REAL, REALS, OBJECT or STRING).  A count or seed is
+    a NUMBER, checked further by ``require_count``; a field converted to float
+    is a REAL.
 
     A field named in ``optional`` may be absent; every other one must be present.
     """

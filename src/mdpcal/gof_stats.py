@@ -27,9 +27,17 @@ class SampleBatch:
     sorted_values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
+        given = tuple(self.values)
+        # float() also converts "1.5", b"2", True and objects such as np.bool_;
+        # only reals (int, float, numpy real scalars, ...) are sample values.
+        other = set(map(type, given)) - {float, int}
+        if other:
+            import numbers
+            if not all(issubclass(t, numbers.Real) and t is not bool for t in other):
+                raise DomainError("sample values must be reals in float range")
         try:
-            values = tuple(map(float, self.values))
-        except (TypeError, ValueError, OverflowError):  # None, "x", 10**400
+            values = tuple(map(float, given))
+        except OverflowError:  # 10**400
             raise DomainError("sample values must be reals in float range") from None
         if not values:
             raise DomainError("sample batch must be nonempty")
@@ -182,9 +190,10 @@ def load_batch(path: str | Path) -> SampleBatch:
     except ValueError:
         rows = rows[1:]
     try:
-        return SampleBatch(tuple(float(r) for r in rows))
+        values = tuple(map(float, rows))
     except ValueError as exc:
         raise DomainError(f"non-numeric entry in {path}: {exc}") from None
+    return SampleBatch(values)
 
 
 def parse_counts(text: str) -> CountVector:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (NUMBER, NUMBERS, OBJECT, STRING, DomainError, load_json_object,
+from .errors import (NUMBER, OBJECT, REAL, REALS, STRING, DomainError, load_json_object,
                      require_count, require_fields, require_positive)
 from .gof_stats import ks_rows, sign_rows
 from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
@@ -361,7 +361,7 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
 
 def _prior_from_json(payload) -> PriorSpec:
     require_fields(payload, "prior JSON",
-                   dict.fromkeys(("lambda", "gamma_rate", "truncation"), NUMBER))
+                   dict.fromkeys(("lambda", "gamma_rate", "truncation"), REAL))
     family = payload.get("family", "laplace-location")
     if family != "laplace-location":
         raise DomainError(f"unsupported prior family {family!r}")
@@ -385,10 +385,10 @@ def load_mc_config(path: str | Path) -> McRun:
     """Read a Bayes-risk MC run from JSON mirroring the PriorSpec/McConfig fields."""
     payload = load_json_object(path, "MC config",
                                {"prior": OBJECT, "mc": OBJECT, "statistic": STRING,
-                                "w0": NUMBER, "w1": NUMBER}, optional=("w0", "w1"))
+                                "w0": REAL, "w1": REAL}, optional=("w0", "w1"))
     mc = require_fields(payload["mc"], "MC config 'mc'",
                         {"m_alternatives": NUMBER, "m_null": NUMBER, "n": NUMBER,
-                         "seed": NUMBER, "threshold_grid": NUMBERS})
+                         "seed": NUMBER, "threshold_grid": REALS})
     return McRun(
         prior=_prior_from_json(payload["prior"]),
         config=McConfig(
@@ -415,7 +415,7 @@ class ExponentRun:
 def load_exponent_config(path: str | Path) -> ExponentRun:
     """Read a prior-exponent probe configuration from JSON."""
     payload = load_json_object(path, "exponent config",
-                               {"prior": OBJECT, "radii": NUMBERS, "m": NUMBER, "seed": NUMBER})
+                               {"prior": OBJECT, "radii": REALS, "m": NUMBER, "seed": NUMBER})
     return ExponentRun(
         prior=_prior_from_json(payload["prior"]),
         radii=tuple(float(r) for r in payload["radii"]),

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (NUMBERS, DomainError, load_json_object, require_count,
+from .errors import (REALS, DomainError, load_json_object, require_count,
                      require_finite, require_positive)
-from .special_fn import check_simplex, golden_min, kl_bernoulli
+from .special_fn import _bisect, check_simplex, golden_min, kl_bernoulli
 
 _TILT_TOL = 1e-10
 # A problem whose largest |phi| is m 2^e (1/2 <= m < 1) with |e| > _PHI_EXP is
@@ -119,10 +119,15 @@ def half_space_rate(problem: TiltedHalfSpace) -> HalfSpaceSolution:
     # Newton polish on the stationarity condition: golden-section comparisons
     # flatten into float noise near the optimum, this drives the tilted mean
     # of phi to the 1e-8 contract and beyond.  A step out of [0, t_cap]
-    # overshoots a Lambda that is flat in float, and is not taken.
+    # overshoots a Lambda that is flat in float, and is not taken: there the
+    # golden-section point can lie anywhere on the flat part, so t* is the root
+    # of the tilted mean, which rises with t, found by bisection.
     lam, q, mean, var = _tilt(problem, t_star)
     for _ in range(4):
         if var <= 0.0 or not 0.0 <= t_star - mean / var <= t_cap:
+            if mean != 0.0:
+                t_star = _bisect(lambda t: _tilt(problem, t)[2], 0.0, 0.0, t_cap)
+                lam, q, mean, var = _tilt(problem, t_star)
             break
         t_star -= mean / var
         lam, q, mean, var = _tilt(problem, t_star)
@@ -199,7 +204,7 @@ def bahadur_slopes(theta: float) -> BahadurSlopes:
 def load_half_space(path: str | Path) -> TiltedHalfSpace:
     """Read a half-space problem from JSON: {support: [...], probs: [...], phi: [...]}."""
     payload = load_json_object(path, "half-space JSON",
-                               dict.fromkeys(("support", "probs", "phi"), NUMBERS))
+                               dict.fromkeys(("support", "probs", "phi"), REALS))
     return TiltedHalfSpace(
         support=tuple(payload["support"]),
         probs=tuple(payload["probs"]),

@@ -167,9 +167,9 @@ EDGE_NS = (1, 2, 100, 10**18, 10**308, 10**309, 10**400)
 
 @pytest.mark.parametrize("setting", list(SETTINGS))
 def test_edge_grid_gives_a_finite_report_or_domain_error(setting):
-    calibrator, flags, _ = SETTINGS[setting]
+    calibrator = SETTINGS[setting].calibrator
     reports = 0
-    for values in itertools.product(EDGE_FLAGS, repeat=len(flags)):
+    for values in itertools.product(EDGE_FLAGS, repeat=len(SETTINGS[setting].flags)):
         for n in EDGE_NS:
             try:
                 report = calibrator(*values, n)

@@ -442,3 +442,54 @@ def test_malformed_input_file_is_an_error_line(capsys, tmp_path, argv, content, 
     assert out == ""
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+# Each exited 2 with the raw "int too large to convert to float", naming no field.
+_SANOV = {"support": [0, 1], "probs": [0.5, 0.5], "phi": [-1.0, 0.5]}
+_PRIOR = {"lambda": 2.0, "gamma_rate": 0.5, "truncation": 8.0}
+_MC = {"prior": _PRIOR, "statistic": "sign",
+       "mc": {"m_alternatives": 10, "m_null": 10, "n": 20, "seed": 1,
+              "threshold_grid": [0.5, 1.0]}}
+_EXPONENT = {"prior": _PRIOR, "radii": [0.3, 0.2], "m": 100, "seed": 1}
+REAL_FIELDS = [
+    ("sanov --input", _SANOV, ("support", 0)),
+    ("sanov --input", _SANOV, ("probs", 0)),
+    ("sanov --input", _SANOV, ("phi", 1)),
+    ("mc --config", _MC, ("mc", "threshold_grid", 0)),
+    ("mc --config", _MC, ("prior", "lambda")),
+    ("mc --config", _MC, ("prior", "gamma_rate")),
+    ("mc --config", _MC, ("prior", "truncation")),
+    ("mc --config", _MC, ("w0",)),
+    ("mc --config", _MC, ("w1",)),
+    ("prior-exponent --config", _EXPONENT, ("radii", 0)),
+]
+
+
+def _with(payload, path, value):
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return payload
+
+
+@pytest.mark.parametrize("argv, payload, path", REAL_FIELDS,
+                         ids=[f"{argv.split()[0]}:{'.'.join(map(str, path))}"
+                              for argv, _, path in REAL_FIELDS])
+def test_real_json_field_past_float_range_exits_2_naming_the_field(capsys, tmp_path, argv,
+                                                                   payload, path):
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(_with(payload, path, 10**400)))
+    code, out, err = run_cli(capsys, *argv.split(), str(file))
+    assert (code, out) == (2, "")
+    field = next(key for key in reversed(path) if type(key) is str)
+    assert err.startswith("error: ") and f"field {field!r} must be " in err
+    assert err.endswith(" in float range\n")
+
+
+def test_mc_seed_past_float_range_is_still_a_seed(capsys, tmp_path):
+    file = tmp_path / "mc.json"
+    file.write_text(json.dumps(_with(_MC, ("mc", "seed"), 10**400)))
+    assert run_cli(capsys, "mc", "--config", str(file))[0] == 0

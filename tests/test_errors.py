@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from mdpcal.errors import DomainError, require_count, require_finite, require_positive
+from mdpcal.errors import (NUMBER, REAL, REALS, DomainError, require_count, require_fields,
+                           require_finite, require_positive)
 
 
 def test_require_positive_passes_positive_finite_values():
@@ -51,3 +52,16 @@ def test_require_finite_returns_finite_values_unchanged(x):
 def test_require_finite_rejects(x):
     with pytest.raises(DomainError, match="t is not finite"):
         require_finite("t", x)
+
+
+@pytest.mark.parametrize("kind, good, bad", [
+    (REAL, [0, -2.5, 10**308, math.inf], [10**400, -10**309, True, "1", None, [1.0]]),
+    (REALS, [[], [1, 2.5], [10**308]], [[1.0, 10**400], [True], 1.0, None]),
+    (NUMBER, [1, 2.5, 10**400], [True, "1", None]),
+])
+def test_require_fields_kinds(kind, good, bad):
+    for value in good:
+        assert require_fields({"x": value}, "cfg", {"x": kind}) == {"x": value}
+    for value in bad:
+        with pytest.raises(DomainError, match=f"^cfg field 'x' must be {kind}$"):
+            require_fields({"x": value}, "cfg", {"x": kind})

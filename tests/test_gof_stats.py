@@ -92,14 +92,21 @@ class TestKsStatistic:
                    for i, u in enumerate(sorted(map(uniform_cdf, values)), start=1))
         assert ks_statistic(batch, uniform_cdf) == expected == loop
 
-    # None, "x" and 10**400 raised TypeError, ValueError and OverflowError before.
+    # None, "x" and 10**400 raised TypeError, ValueError and OverflowError
+    # before; "1.5", b"2" and True were converted by float().
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
-                                     pytest.param(10**400, id="10**400"), "x", None])
+                                     pytest.param(10**400, id="10**400"), "x", None,
+                                     "1.5", pytest.param(b"2", id="bytes"), True])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(DomainError):
             SampleBatch((bad, 1.0))
         with pytest.raises(DomainError):
             SampleBatch((1.0,) * 1000 + (bad,))
+
+    def test_numpy_real_scalars_accepted(self):
+        np = pytest.importorskip("numpy")
+        batch = SampleBatch((np.float64(1.5), np.int64(2), np.float32(0.5), 3))
+        assert batch.values == (1.5, 2.0, 0.5, 3.0)
 
     def test_overflowing_sum_of_finite_values_accepted(self):
         batch = SampleBatch((1e308, 1e308, -1.0))
@@ -246,6 +253,17 @@ class TestIngestion:
         path = tmp_path / "bad.txt"
         path.write_text("x\n0.5\nnot-a-number\n")
         with pytest.raises(DomainError):
+            load_batch(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("value\n", "sample batch must be nonempty"),
+        ("0.5\ninf\n", "sample values must be finite"),
+    ])
+    def test_sample_batch_errors_pass_through(self, tmp_path, text, message):
+        # both read "non-numeric entry in <path>: ..." before
+        path = tmp_path / "batch.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=f"^{message}$"):
             load_batch(path)
 
     def test_parse_counts(self):

@@ -157,14 +157,20 @@ class TestHalfSpaceRate:
         assert solution.t_star * c * (1.0 + 1e-5) == pytest.approx(math.log((1.0 - g) / g),
                                                                   rel=1e-9)
 
-    @pytest.mark.parametrize("small", [1e-12, 1e-17, 1e-20])
+    @pytest.mark.parametrize("small", [1e-12, 1e-17, 1e-20, 1e-100, 1e-300])
     def test_newton_polish_keeps_the_golden_point_on_a_flat_dual(self, small):
         # Lambda is flat in float past t ~ 40 here; the first Newton step left
         # [0, t_cap], was clamped to 0, and the rate came out 0.678 (not ln 2).
+        # Golden-section search cannot see the minimum there either: t* was 64
+        # at 1e-20, 256 at 1e-100 and 1024 at 1e-300.  The tilted mean
+        # -e^-t + small e^(t small) vanishes at ln(1/small) / (1 + small).
         problem = TiltedHalfSpace((0.0, 1.0), (0.5, 0.5), (-1.0, small))
         g = small / (1.0 + small)
-        assert half_space_rate(problem).rate == pytest.approx(
+        solution = half_space_rate(problem)
+        assert solution.rate == pytest.approx(
             math.log(2.0) + g * math.log(g) + (1.0 - g) * math.log1p(-g), abs=1e-12)
+        assert solution.t_star == pytest.approx(math.log(1.0 / small) / (1.0 + small),
+                                                rel=1e-11)
 
     @pytest.mark.parametrize("probs, phi, match", [
         ((0.999999, 0.000001), (-1e300, 1e-300), "phi spans more than the float range"),
