@@ -15,9 +15,8 @@ from .gof_stats import (CountVector, SampleBatch, ks_statistic, laplace_lrt,
                         load_batch, normal_vs_laplace_contrast, parse_counts,
                         parse_reals, pearson_chi2, sample_median, sign_count)
 from .calibrators import (calibrate_chi2, calibrate_contingency, calibrate_fisher,
-                          calibrate_ks, calibrate_sign, emit_tables,
-                          plugin_threshold, write_tables)
-from .sanov_rates import (BahadurSlopes, DecaySpec, HalfSpaceSolution,
+                          calibrate_ks, calibrate_sign, emit_tables, write_tables)
+from .sanov_rates import (BahadurSlopes, HalfSpaceSolution,
                           TiltedHalfSpace, bahadur_slopes,
                           distinguishability_radius, half_space_rate,
                           load_half_space, mdp_truncation_level)

@@ -6,9 +6,8 @@ contingency-table independence (rho=1/4, kappa = degrees of freedom), and the
 Fisher-geometry rejection radius (rho=1/4, kappa = lambda + d).  Each rho is
 written once, in its calibrator.  ``SETTINGS`` holds one ``Setting`` record
 per setting; the CLI dispatches through it, and ``emit_tables`` builds every
-table from its table grids and examples.  The plug-in threshold for an
-estimated kappa lives here too.  All reported thresholds are leading-order;
-log log n correction terms are intentionally dropped.
+table from its table grids and examples.  All reported thresholds are
+leading-order; log log n correction terms are intentionally dropped.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, require_count, require_finite, require_positive
+from .errors import DomainError, is_real, require_count, require_finite, require_positive
 from .risk_core import (CalibrationProblem, ThresholdReport, analytic_optimum,
                         numeric_minimiser, optimal_risk_rate)
 from .special_fn import chi2_quantile, kolmogorov_quantile
@@ -84,8 +83,8 @@ def calibrate_contingency(r: int, c: int, n: int) -> ThresholdReport:
 
 def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
     """Fisher-geometry calibration: rejection radius sqrt((lam + d) * ln n / n)."""
-    if not 0 <= lam < math.inf:
-        raise DomainError(f"lambda must be nonnegative and finite, got {lam}")
+    if not (is_real(lam) and 0 <= lam < math.inf):
+        raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
     d = require_count("dimension", d, 1)
     kappa = lam + d
     problem = CalibrationProblem(rho=0.25, kappa=kappa, n=n)
@@ -94,14 +93,6 @@ def calibrate_fisher(lam: float, d: int, n: int) -> ThresholdReport:
         "d": d,
         "radius": math.sqrt(kappa * math.log(n) / n),
     })
-
-
-def plugin_threshold(kappa_hat: float, rho: float, n: int) -> float:
-    """Asymptotic plug-in threshold sqrt(kappa_hat / (4 rho) * ln n)."""
-    require_positive("kappa_hat", kappa_hat)
-    require_positive("rho", rho)
-    require_count("n", n, 2)
-    return require_finite("threshold", math.sqrt(kappa_hat / (4.0 * rho) * math.log(n)))
 
 
 class Setting(NamedTuple):

@@ -18,13 +18,12 @@ import os
 import sys
 
 from . import __version__
-from .calibrators import SETTINGS, emit_tables, plugin_threshold, write_tables
+from .calibrators import SETTINGS, emit_tables, write_tables
 from .errors import DomainError
 from .gof_stats import parse_counts, parse_reals
-from .risk_core import CalibrationProblem, numeric_minimiser, regime_series
-from .sanov_rates import (DecaySpec, bahadur_slopes, distinguishability_radius,
-                          half_space_rate, load_half_space,
-                          mdp_truncation_level)
+from .risk_core import CalibrationProblem, analytic_optimum, numeric_minimiser, regime_series
+from .sanov_rates import (bahadur_slopes, distinguishability_radius, half_space_rate,
+                          load_half_space, mdp_truncation_level)
 from .triangulation import evidence_bundle
 
 SCHEMA = "mdpcal/1"
@@ -126,14 +125,13 @@ def _truncation(args):
 
 
 def _radius(args):
-    decay = (DecaySpec.polynomial(args.poly) if args.poly is not None
-             else DecaySpec.exponential(args.exp))
-    return {"rho": args.rho, "n": args.n, "regime": decay.kind, "c": decay.c,
-            "radius": distinguishability_radius(args.rho, decay, args.n)}, None
+    kind, c = ("polynomial", args.poly) if args.poly is not None else ("exponential", args.exp)
+    return {"rho": args.rho, "n": args.n, "regime": kind, "c": c,
+            "radius": distinguishability_radius(args.rho, kind, c, args.n)}, None
 
 
 def _slopes(args):
-    header = ["theta", "c_sign", "c_lrt", "c_med", "c_med_local_approx"]
+    header = ["theta", "c_sign", "c_lrt", "c_med"]
     rows = [[theta, *bahadur_slopes(theta)] for theta in parse_reals(args.theta_list)]
     return {"slopes": [dict(zip(header, row)) for row in rows]}, (header, rows)
 
@@ -174,8 +172,8 @@ def _prior_exponent(args):
 
 
 def _plugin(args):
-    return {"kappa_hat": args.kappa_hat, "rho": args.rho, "n": args.n,
-            "threshold": plugin_threshold(args.kappa_hat, args.rho, args.n)}, None
+    t_star = analytic_optimum(CalibrationProblem(args.rho, args.kappa_hat, args.n)).t_star
+    return {"kappa_hat": args.kappa_hat, "rho": args.rho, "n": args.n, "threshold": t_star}, None
 
 
 # Flags shared by several subcommands, declared once.

@@ -27,10 +27,42 @@ def _shown(x) -> str:
     return "an int beyond float range" if type(x) is int and abs(x) > _FLOAT_MAX else repr(x)
 
 
+def is_real(x) -> bool:
+    """The one type rule: a real is an int, float or other numbers.Real (a numpy
+    float, a Fraction), never a bool, np.bool_, str, bytes or None.  So is a count."""
+    return type(x) is float or type(x) is int or all_real((x,))
+
+
+def all_real(values) -> bool:
+    """``is_real`` for every element of ``values``, in one pass over their types."""
+    # numbers loads only for other types: the closed-form paths never load it.
+    other = set(map(type, values)) - {float, int}
+    if not other:
+        return True
+    import numbers
+    return all(issubclass(t, numbers.Real) and t is not bool for t in other)
+
+
+def require_reals(name: str, values) -> tuple[float, ...]:
+    """Return ``values`` as floats if each is a real (``is_real``) in float
+    range and finite; raise DomainError otherwise."""
+    values = tuple(values)
+    try:
+        floats = tuple(map(float, values)) if all_real(values) else None
+    except OverflowError:  # an int such as 10**400
+        floats = None
+    if floats is None:
+        raise DomainError(f"{name} must be reals in float range")
+    # A finite sum proves every value finite at C speed; else check each one.
+    if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+        raise DomainError(f"{name} must be finite")
+    return floats
+
+
 def require_positive(name: str, x: float) -> None:
-    """Raise DomainError unless 0 < x <= _FLOAT_MAX, so NaN, inf and ints past
-    float range fail too."""
-    if not 0 < x <= _FLOAT_MAX:
+    """Raise DomainError unless x is a real with 0 < x <= _FLOAT_MAX, so NaN,
+    inf, ints past float range and bools fail too."""
+    if not ((type(x) is float or is_real(x)) and 0 < x <= _FLOAT_MAX):  # floats skip a call
         raise DomainError(f"{name} must be positive and finite, got {_shown(x)}")
 
 
@@ -46,11 +78,11 @@ def require_count(name: str, n, least: int | None = None) -> int:
     """Return ``n`` as an int if it is an integer >= ``least`` and at most
     _FLOAT_MAX (any integer when ``least`` is None, as for a seed).
 
-    NaN, inf, fractional and non-numeric values (None, "7") raise DomainError.
+    NaN, inf, fractions and non-reals (None, "7", True) raise DomainError.
     """
     try:
-        ok = int(n) == n and (least is None or n >= least)
-    except (TypeError, ValueError, OverflowError):
+        ok = is_real(n) and int(n) == n and (least is None or n >= least)
+    except (ValueError, OverflowError):  # NaN, inf
         ok = False
     if not ok:
         bound = "" if least is None else f" >= {least}"
@@ -67,15 +99,15 @@ OBJECT = "an object"
 STRING = "a string"
 
 
-def _is_real(v) -> bool:
+def _is_json_real(v) -> bool:
     # An int such as 10**400 is a JSON number but no float.
     return type(v) is float or type(v) is int and abs(v) <= _FLOAT_MAX
 
 
 _IS_KIND = {
     NUMBER: lambda v: type(v) in (int, float),
-    REAL: _is_real,
-    REALS: lambda v: type(v) is list and all(map(_is_real, v)),
+    REAL: _is_json_real,
+    REALS: lambda v: type(v) is list and all(map(_is_json_real, v)),
     OBJECT: lambda v: type(v) is dict,
     STRING: lambda v: type(v) is str,
 }

@@ -3,8 +3,9 @@
 Covers the statistics the calibrators put thresholds on: the Kolmogorov-Smirnov
 statistic against a reference CDF, Pearson chi-squared for count data, the sign
 count and sample median, the one-sided Laplace location LRT, and the
-normal-versus-Laplace log-evidence contrast.  KS and sign are one-row calls of
-the ``mc_engine`` row kernels ``ks_rows`` and ``sign_rows``, which load numpy on first call.
+normal-versus-Laplace log-evidence contrast.  ``ks_rows`` and ``sign_rows`` are
+the numpy row kernels of KS and sign, which ``mc_engine`` runs too; they load
+numpy on first call, and ``ks_statistic`` and ``sign_count`` are one-row calls.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import DegenerateSampleError, DomainError
+from .errors import (DegenerateSampleError, DomainError, all_real, require_count,
+                     require_finite, require_reals)
 from .special_fn import check_simplex
 
 
@@ -27,24 +29,9 @@ class SampleBatch:
     sorted_values: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        given = tuple(self.values)
-        # float() also converts "1.5", b"2", True and objects such as np.bool_;
-        # only reals (int, float, numpy real scalars, ...) are sample values.
-        other = set(map(type, given)) - {float, int}
-        if other:
-            import numbers
-            if not all(issubclass(t, numbers.Real) and t is not bool for t in other):
-                raise DomainError("sample values must be reals in float range")
-        try:
-            values = tuple(map(float, given))
-        except OverflowError:  # 10**400
-            raise DomainError("sample values must be reals in float range") from None
+        values = require_reals("sample values", self.values)
         if not values:
             raise DomainError("sample batch must be nonempty")
-        # A finite sum proves every value finite at C speed; only an overflowed
-        # or NaN sum needs the element-wise check.
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise DomainError("sample values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sorted_values", tuple(sorted(values)))
 
@@ -62,17 +49,16 @@ class CountVector:
     def __post_init__(self):
         given = tuple(self.counts)
         try:
-            counts = tuple(map(int, given))
-        except (TypeError, ValueError, OverflowError):
+            counts = tuple(map(int, given)) if all_real(given) else None
+        except (ValueError, OverflowError):  # NaN, inf
             counts = None
-        if counts != given:  # NaN, inf, fractions and non-numbers
+        if counts != given:  # fractions and values that are not reals
             raise DomainError("counts must be integers")
         if len(counts) < 2:
             raise DomainError(f"need at least 2 categories, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise DomainError("counts must be nonnegative")
-        if sum(counts) < 1:
-            raise DomainError("counts must contain at least one observation")
+        require_count("total count", sum(counts), 1)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -123,7 +109,11 @@ def pearson_chi2(counts: CountVector, p0: Sequence[float]) -> float:
     """Pearson statistic sum_j (N_j - n p0_j)^2 / (n p0_j)."""
     p0 = _validate_simplex(p0, counts.k)
     n = counts.n
-    return sum((c - n * q) ** 2 / (n * q) for c, q in zip(counts.counts, p0))
+    try:
+        return require_finite("Pearson statistic",
+                              sum((c - n * q) ** 2 / (n * q) for c, q in zip(counts.counts, p0)))
+    except OverflowError:  # a square past float range
+        raise DomainError("Pearson statistic is past float range") from None
 
 
 def sign_count(batch: SampleBatch) -> int:

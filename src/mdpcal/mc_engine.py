@@ -5,8 +5,8 @@ SC'11).  Each ``mc_bayes_risk`` call draws from one substream per draw kind
 (prior draws, alternative data, null data), keyed by (seed, kind), so
 estimates are bit-reproducible regardless of execution order.  Replicate rows
 are read off that stream in C order, one ``laplace`` call per block of about
-2^17 doubles, and reduced to their statistics block by block: memory is
-O(block + m), never the full m x n matrix.  The alternative and null streams
+2^17 doubles or one row of n <= 2^22, and reduced to their statistics block
+by block: memory is O(block + m), not m x n.  The alternative and null streams
 run at once, one thread per data draw kind (numpy releases the GIL in the
 draws, the sort and the ufunc loops), each with its own generator and output
 array: two blocks are in flight, and the output bits depend on neither the
@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (NUMBER, OBJECT, REAL, REALS, STRING, DomainError, load_json_object,
-                     require_count, require_fields, require_positive)
+                     require_count, require_fields, require_positive, require_reals)
 from .gof_stats import ks_rows, sign_rows
 from .special_fn import _GAMMA_MAX_ITER, _GAMMA_REL_TOL
 
@@ -53,6 +53,8 @@ _SAMPLER_GRID = 20_001
 # Doubles per statistic block, per thread; a row longer than this gets a block
 # of its own.
 _BLOCK_DOUBLES = 1 << 17
+# Most observations per replicate: KS sorts whole rows, so a thread holds <= 32 MiB.
+_MAX_N = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,12 @@ class McConfig:
     def __post_init__(self):
         for name in ("m_alternatives", "m_null", "n"):
             object.__setattr__(self, name, require_count(name, getattr(self, name), 1))
+        if self.n > _MAX_N:
+            raise DomainError(f"n must be at most {_MAX_N} observations, got {self.n}")
         object.__setattr__(self, "seed", require_count("seed", self.seed))
-        grid = tuple(float(t) for t in self.threshold_grid)
+        grid = require_reals("threshold grid values", self.threshold_grid)
         if not grid:
             raise DomainError("threshold grid must be nonempty")
-        if not all(math.isfinite(t) for t in grid):
-            raise DomainError("threshold grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("threshold grid must be strictly increasing")
         object.__setattr__(self, "threshold_grid", grid)
@@ -339,7 +341,7 @@ def estimate_prior_exponent(prior: PriorSpec, radii: Sequence[float], m: int,
                             seed: int) -> ExponentFit:
     """Probe the prior near the origin: empirical mass below each radius,
     then a log-log regression for the exponent."""
-    radii = tuple(float(r) for r in radii)
+    radii = require_reals("radii", radii)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly decreasing")
     if any(not 0 < r <= prior.truncation for r in radii):

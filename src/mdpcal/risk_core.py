@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import (BracketError, DomainError, require_count, require_finite,
+from .errors import (BracketError, DomainError, is_real, require_count, require_finite,
                      require_positive)
 from .special_fn import golden_min
 
@@ -37,6 +37,7 @@ class CalibrationProblem:
         for name in ("rho", "kappa", "w0", "w1"):
             require_positive(name, getattr(self, name))
         require_count("n", self.n, 2)
+        require_finite("w0 + w1", self.w0 + self.w1)  # every risk is at most w0 + w1
 
     @property
     def a_star(self) -> float:
@@ -158,8 +159,8 @@ def regime_series(p: CalibrationProblem, n_values: Sequence[int],
         raise DomainError("n_values must be nonempty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise DomainError("n_values must be strictly increasing")
-    if not 0.0 < fixed_alpha < 1.0:
-        raise DomainError(f"fixed_alpha must be in (0, 1), got {fixed_alpha}")
+    if not (is_real(fixed_alpha) and 0.0 < fixed_alpha < 1.0):
+        raise DomainError(f"fixed_alpha must be in (0, 1), got {fixed_alpha!r}")
 
     series: dict[str, list[tuple[int, float]]] = {"clt": [], "mdp": [], "ldp": []}
     for n in n_values:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (REALS, DomainError, load_json_object, require_count,
-                     require_finite, require_positive)
+                     require_finite, require_positive, require_reals)
 from .special_fn import _bisect, check_simplex, golden_min, kl_bernoulli
 
 _TILT_TOL = 1e-10
@@ -34,15 +34,12 @@ class TiltedHalfSpace:
     phi: tuple[float, ...]
 
     def __post_init__(self):
-        support = tuple(float(v) for v in self.support)
+        support = require_reals("support", self.support)
         probs = check_simplex(self.probs)
-        phi = tuple(float(v) for v in self.phi)
+        phi = require_reals("phi", self.phi)
+        # Empty probs fail check_simplex, so equal lengths make the support nonempty.
         if not (len(support) == len(probs) == len(phi)):
             raise DomainError("support, probs and phi must have equal lengths")
-        if len(support) < 1:
-            raise DomainError("support must be nonempty")
-        if not all(math.isfinite(v) for v in support + phi):
-            raise DomainError("support and phi must be finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "phi", phi)
@@ -142,39 +139,18 @@ def mdp_truncation_level(kappa: float, n: int) -> float:
     return require_finite("level", 0.5 * kappa * math.log(n) / n)
 
 
-@dataclass(frozen=True)
-class DecaySpec:
-    """Target Type-I decay: polynomial n^-c or exponential exp(-c n)."""
-
-    kind: str
-    c: float
-
-    def __post_init__(self):
-        if self.kind not in ("polynomial", "exponential"):
-            raise DomainError(f"decay kind must be polynomial or exponential, got {self.kind}")
-        require_positive("decay constant", self.c)
-
-    @classmethod
-    def polynomial(cls, c: float) -> "DecaySpec":
-        return cls("polynomial", c)
-
-    @classmethod
-    def exponential(cls, c: float) -> "DecaySpec":
-        return cls("exponential", c)
-
-
-def distinguishability_radius(rho: float, decay: DecaySpec, n: int) -> float:
-    """Smallest deviation resolvable at the given Type-I decay target.
-
-    Polynomial n^-c gives sqrt(c ln n / (2 rho)) / sqrt(n); exponential
-    exp(-c n) pins the radius at the constant sqrt(c / (2 rho)).
-    """
+def distinguishability_radius(rho: float, kind: str, c: float, n: int) -> float:
+    """Smallest deviation resolvable at a Type-I decay target: ``kind`` "polynomial"
+    (n^-c) gives sqrt(c ln n / (2 rho n)), "exponential" (exp(-c n)) sqrt(c / (2 rho))."""
+    if kind not in ("polynomial", "exponential"):
+        raise DomainError(f"decay kind must be polynomial or exponential, got {kind!r}")
+    require_positive("decay constant", c)
     require_positive("rho", rho)
     require_count("n", n, 2)
-    if decay.kind == "polynomial":
-        radius = math.sqrt(decay.c * math.log(n) / (2.0 * rho)) / math.sqrt(n)
+    if kind == "polynomial":
+        radius = math.sqrt(c * math.log(n) / (2.0 * rho)) / math.sqrt(n)
     else:
-        radius = math.sqrt(decay.c / (2.0 * rho))
+        radius = math.sqrt(c / (2.0 * rho))
     return require_finite("radius", radius)
 
 
@@ -182,22 +158,17 @@ class BahadurSlopes(NamedTuple):
     c_sign: float
     c_lrt: float
     c_med: float
-    c_med_local_approx: bool
 
 
 def bahadur_slopes(theta: float) -> BahadurSlopes:
     """Bahadur slopes of the sign, LRT and median tests at a Laplace
-    location alternative theta > 0.
-
-    c_med is the stated local approximation theta^2 and is flagged as such.
-    """
+    location alternative theta > 0; c_med is the local approximation theta^2."""
     require_positive("theta", theta)
     p_pos = 1.0 - 0.5 * math.exp(-theta)
     return BahadurSlopes(
         c_sign=2.0 * kl_bernoulli(p_pos, 0.5),
         c_lrt=require_finite("c_lrt", 2.0 * (math.exp(-theta) + theta - 1.0)),
         c_med=require_finite("c_med", theta * theta),
-        c_med_local_approx=True,
     )
 
 
@@ -205,8 +176,4 @@ def load_half_space(path: str | Path) -> TiltedHalfSpace:
     """Read a half-space problem from JSON: {support: [...], probs: [...], phi: [...]}."""
     payload = load_json_object(path, "half-space JSON",
                                dict.fromkeys(("support", "probs", "phi"), REALS))
-    return TiltedHalfSpace(
-        support=tuple(payload["support"]),
-        probs=tuple(payload["probs"]),
-        phi=tuple(payload["phi"]),
-    )
+    return TiltedHalfSpace(payload["support"], payload["probs"], payload["phi"])

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import DomainError, require_count, require_positive
+from .errors import (_FLOAT_MAX, DomainError, _shown, all_real, is_real, require_count,
+                     require_positive, require_reals)
 
 KOLMOGOROV_SERIES_TOL = 1e-12
 # Below this point the alternating series converges too slowly to be worth
@@ -70,9 +71,9 @@ def _bisect(cdf: Callable[[float], float], p: float, lo: float, hi: float) -> fl
 def check_simplex(probs: Sequence[float]) -> tuple[float, ...]:
     """Return null probabilities as floats after checking that each is
     positive and finite and that they sum to 1 within ``_SIMPLEX_TOL``."""
-    probs = tuple(float(v) for v in probs)
-    if not all(0 < v < math.inf for v in probs):
-        raise DomainError("null probabilities must be strictly positive and finite")
+    probs = require_reals("null probabilities", probs)
+    if not all(v > 0 for v in probs):
+        raise DomainError("null probabilities must be strictly positive")
     if abs(sum(probs) - 1.0) > _SIMPLEX_TOL:
         raise DomainError(f"null probabilities must sum to 1, got {sum(probs)}")
     return probs
@@ -83,9 +84,9 @@ def kolmogorov_sf(t: float) -> float:
 
     Summed directly so the deep tail keeps full relative accuracy.
     """
-    # Written as "not t >= 0": a NaN t would otherwise never end the series.
-    if not t >= 0:
-        raise DomainError(f"Kolmogorov statistic must be nonnegative, got {t}")
+    # Floats skip is_real, as bisection calls this; "not t >= 0" ends a NaN t's series.
+    if not (type(t) is float or is_real(t) and not _FLOAT_MAX < t < math.inf) or not t >= 0:
+        raise DomainError(f"Kolmogorov statistic must be nonnegative, got {_shown(t)}")
     if t < _KOLMOGOROV_SMALL_T:
         return 1.0
     total = 0.0
@@ -108,8 +109,8 @@ def kolmogorov_cdf(t: float) -> float:
 
 def kolmogorov_quantile(p: float) -> float:
     """Inverse of ``kolmogorov_cdf`` by bisection on [0.05, 5] to 1e-9."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
+    if not (is_real(p) and 0.0 < p < 1.0):
+        raise DomainError(f"quantile level must be in (0, 1), got {p!r}")
     return _bisect(kolmogorov_cdf, p, 0.05, 5.0)
 
 
@@ -156,29 +157,30 @@ def _gamma_q_cf(a: float, x: float) -> float:
 def regularized_gamma_p(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), split series/continued fraction."""
     require_positive("shape parameter", a)
-    if not x >= 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
+    if not (type(x) is float or is_real(x) and not _FLOAT_MAX < x < math.inf) or not x >= 0:
+        raise DomainError(f"argument must be nonnegative, got {_shown(x)}")
     if x == 0.0:
         return 0.0
     if x == math.inf:
         return 1.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_cf(a, x)
+    try:
+        return _gamma_p_series(a, x) if x < a + 1.0 else 1.0 - _gamma_q_cf(a, x)
+    except OverflowError:  # lgamma(a) is past float range
+        raise DomainError(f"shape parameter {a} is too large for the incomplete gamma") from None
 
 
 def chi2_cdf(x: float, df: int) -> float:
     """Chi-squared CDF with ``df`` degrees of freedom."""
     require_count("degrees of freedom", df, 1)
-    if not x >= 0:
-        raise DomainError(f"chi-squared argument must be nonnegative, got {x}")
+    if not (type(x) is float or is_real(x) and not _FLOAT_MAX < x < math.inf) or not x >= 0:
+        raise DomainError(f"chi-squared argument must be nonnegative, got {_shown(x)}")
     return regularized_gamma_p(df / 2.0, x / 2.0)
 
 
 def chi2_quantile(p: float, df: int) -> float:
     """Inverse chi-squared CDF by bisection to max(1e-9, 1e-15 * hi)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
+    if not (is_real(p) and 0.0 < p < 1.0):
+        raise DomainError(f"quantile level must be in (0, 1), got {p!r}")
     require_count("degrees of freedom", df, 1)
     hi = float(df) + 10.0
     while chi2_cdf(hi, df) < p:
@@ -188,6 +190,8 @@ def chi2_quantile(p: float, df: int) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF."""
+    if not (is_real(x) and -math.inf <= x <= math.inf) or _FLOAT_MAX < abs(x) < math.inf:
+        raise DomainError(f"normal_cdf needs a real in float range, got {_shown(x)}")
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
@@ -208,10 +212,9 @@ def _clamp_rounding(kl: float) -> float:
 
 def kl_bernoulli(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q)."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be a probability, got {p}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must be a probability, got {q}")
+    for name, v in (("p", p), ("q", q)):
+        if not (is_real(v) and 0.0 <= v <= 1.0):
+            raise DomainError(f"{name} must be a probability, got {v!r}")
     return _clamp_rounding(_xlogx_ratio(p, q) + _xlogx_ratio(1.0 - p, 1.0 - q))
 
 
@@ -220,12 +223,12 @@ def kl_multinomial(p, q) -> float:
 
     Returns ``math.inf`` when some q_j = 0 carries p_j > 0.
     """
-    p = tuple(float(v) for v in p)
-    q = tuple(float(v) for v in q)
+    p, q = tuple(p), tuple(q)
+    # NaN passes through to the result; 10**400 and inf fail here.
+    if not all_real(p + q) or any(v < 0 or v > 1 for v in p + q):
+        raise DomainError("probabilities must be reals in [0, 1]")
     if len(p) != len(q):
         raise DomainError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    if any(v < 0 for v in p) or any(v < 0 for v in q):
-        raise DomainError("probability vectors must be nonnegative")
     if abs(sum(p) - 1.0) > _SIMPLEX_TOL:
         raise DomainError(f"p must lie on the simplex, sums to {sum(p)}")
     return _clamp_rounding(sum(_xlogx_ratio(pj, qj) for pj, qj in zip(p, q)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import require_positive
+from .errors import DomainError, require_finite, require_positive
 from .gof_stats import CountVector, pearson_chi2, _validate_simplex
 from .special_fn import kl_multinomial
 
@@ -91,16 +91,19 @@ def evidence_bundle(counts: CountVector, theta0, prior_concentration: float = 1.
     p_hat = counts.proportions
     log_n = math.log(n)
 
-    d_kl = kl_multinomial(p_hat, theta0)
+    d_kl = require_finite("d_kl", kl_multinomial(p_hat, theta0))
     cross_term = sum((p - t) * math.log(t) for p, t in zip(p_hat, theta0))
-
+    try:
+        w_exact = _log_bayes_factor(counts, theta0, float(prior_concentration))
+    except (OverflowError, ValueError):  # lgamma past float range, or some q_j = 0
+        raise DomainError("the exact Bayes factor leaves float range") from None
     return MultinomialEvidence(
         counts=counts,
         theta0=theta0,
         d_kl=d_kl,
-        w_good=n * d_kl + 0.5 * (k - 1) * log_n,
-        w_exact=_log_bayes_factor(counts, theta0, prior_concentration),
-        lambda_n=2.0 * n * d_kl,
+        w_good=require_finite("w_good", n * d_kl + 0.5 * (k - 1) * log_n),
+        w_exact=require_finite("w_exact", w_exact),
+        lambda_n=require_finite("lambda_n", 2.0 * n * d_kl),
         pearson=pearson_chi2(counts, theta0),
         entropy_deficit=_entropy(theta0) - _entropy(p_hat),
         cross_term=cross_term,

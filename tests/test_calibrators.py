@@ -6,10 +6,9 @@ import math
 
 import pytest
 
-from mdpcal import (DomainError, calibrate_chi2, calibrate_contingency,
-                    calibrate_fisher, calibrate_ks, calibrate_sign,
-                    emit_tables, kolmogorov_quantile, mdp_truncation_level,
-                    plugin_threshold, write_tables)
+from mdpcal import (CalibrationProblem, DomainError, analytic_optimum, calibrate_chi2,
+                    calibrate_contingency, calibrate_fisher, calibrate_ks, calibrate_sign,
+                    emit_tables, kolmogorov_quantile, mdp_truncation_level, write_tables)
 from mdpcal.calibrators import SETTINGS
 
 
@@ -54,9 +53,9 @@ class TestCalibrateKs:
         lambda: calibrate_contingency(3, math.nan, 100),
         lambda: calibrate_fisher(math.inf, 2, 100),
         lambda: calibrate_fisher(1, math.nan, 100),
-        lambda: plugin_threshold(2, 1, math.nan),
-        lambda: plugin_threshold(math.inf, 1, 100),
-        lambda: plugin_threshold(2, math.inf, 100),
+        lambda: analytic_optimum(CalibrationProblem(1, 2, math.nan)),
+        lambda: analytic_optimum(CalibrationProblem(1, math.inf, 100)),
+        lambda: analytic_optimum(CalibrationProblem(math.inf, 2, 100)),
     ])
     def test_non_finite_or_fractional_inputs_are_domain_errors(self, call):
         # Each raised a raw ValueError or returned inf/nan/0.0 before.
@@ -188,7 +187,7 @@ def test_edge_grid_gives_a_finite_report_or_domain_error(setting):
 
 @pytest.mark.parametrize("call", [
     lambda: calibrate_contingency(10**200, 10**200, 100),
-    lambda: plugin_threshold(10**400, 1, 100),
+    lambda: analytic_optimum(CalibrationProblem(1, 10**400, 100)),
     lambda: mdp_truncation_level(10**400, 100),
 ])
 def test_integers_past_float_range_off_the_edge_grid_are_domain_errors(call):

@@ -184,7 +184,6 @@ class TestSmallCommands:
     def test_slopes(self, capsys):
         payload = run_json(capsys, "slopes", "--theta-list", "1.0,2.0")
         assert payload["slopes"][0]["c_lrt"] == pytest.approx(0.735759, abs=1e-6)
-        assert payload["slopes"][0]["c_med_local_approx"] is True
 
     def test_plugin(self, capsys):
         payload = run_json(capsys, "plugin", "--kappa-hat", "2", "--rho", "1",

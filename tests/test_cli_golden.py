@@ -101,11 +101,11 @@ GOLDEN = {
     "radius --rho 1 --poly 1 --exp 1 --n 100":
         (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "slopes --theta-list 0.5,1,2":
-        (0, "7ca7c1afc56f773e3f0018d59195c8cda5ad2cdb51d02d551939e917c9296a84"),
+        (0, "f3837ce0d0a21913bb82f11a49f26219b7115cb0ea2177cd1b29aff054c4ccc6"),
     "slopes --theta-list 0.5,1,2 --csv":
-        (0, "b7ab90f380fa1242055ae95c2ac750d627e6126b57fd00b16856611525058c38"),
+        (0, "d1be0ea560fbcd1934a26a17ffd887692b5901329dae370449f560aded3f4f86"),
     "slopes --theta-list 0.5,1,2 --csv --precision 12":
-        (0, "05ebaee5b5fcf8b541999ebb810f789202fe58de8b7c0432ba3ed882d3b2472d"),
+        (0, "0cfabda02a0d3bb3653329541108db12dfe7e405baf22696bfe8a0d095b31b29"),
     "triangulate --counts 7,3 --theta0 0.5,0.5":
         (0, "515bbef736c3f4c081d9dfed997e321d1ba67c860c900ad12bd9499518a2d597"),
     "triangulate --counts 7,3,5 --theta0 0.2,0.3,0.5 --dirichlet 2 --precision 12":

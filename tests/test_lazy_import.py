@@ -39,6 +39,8 @@ def test_closed_form_paths_do_not_load_numpy(code):
     assert "mdpcal" in modules
     assert "numpy" not in modules
     assert "mdpcal.mc_engine" not in modules
+    # The type rule loads numbers only for a value that is neither float nor int.
+    assert "numbers" not in modules
 
 
 # One succeeding argv per closed-form subcommand: every cli._COMMANDS entry but
@@ -70,6 +72,7 @@ def test_closed_form_command_does_not_load_numpy(command, tmp_path):
     modules = _fresh_modules(f"from mdpcal.cli import main; assert main({argv!r}) == 0")
     assert "numpy" not in modules
     assert "mdpcal.mc_engine" not in modules
+    assert "numbers" not in modules
 
 
 def test_data_kernels_load_numpy_but_not_the_engine():

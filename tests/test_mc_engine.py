@@ -11,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdpcal import (DomainError, McConfig, PriorSpec, SampleBatch,
-                    estimate_prior_exponent, fit_power_law, ks_statistic,
-                    load_exponent_config, load_mc_config, mc_bayes_risk,
-                    plugin_threshold, regularized_gamma_p, substream)
+from mdpcal import (CalibrationProblem, DomainError, McConfig, PriorSpec, SampleBatch,
+                    analytic_optimum, estimate_prior_exponent, fit_power_law,
+                    ks_statistic, load_exponent_config, load_mc_config, mc_bayes_risk,
+                    regularized_gamma_p, substream)
 import mdpcal.mc_engine as engine
 from mdpcal.mc_engine import _gamma_p_grid, _ks_rows, _laplace_cdf, _sign_rows
 
@@ -262,7 +262,14 @@ class TestRiskCurve:
         with pytest.raises(DomainError):
             McConfig(m_alternatives=10, m_null=10, n=10, seed=1, threshold_grid=(2.0, 1.0))
 
-    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "7", None])
+    def test_sample_size_is_capped_before_any_draw(self):
+        # A replicate row of n doubles is one block per thread; n = 1137581746
+        # asked for 8.48 GiB per thread before the cap.
+        McConfig(1, 1, engine._MAX_N, 0, (1.0,))
+        with pytest.raises(DomainError, match=f"^n must be at most {engine._MAX_N} "):
+            McConfig(1, 1, engine._MAX_N + 1, 0, (1.0,))
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, "7", None, True])
     def test_non_integer_seed_rejected(self, seed):
         prior = PriorSpec(lambda_=2.0, gamma_rate=1.0, truncation=8.0)
         with pytest.raises(DomainError, match="seed"):
@@ -365,6 +372,11 @@ class TestPriorExponent:
             estimate_prior_exponent(prior, (0.1, 0.2), 100, seed=5)
         with pytest.raises(DomainError):
             estimate_prior_exponent(prior, (9.0, 0.1), 100, seed=5)
+
+
+def plugin_threshold(kappa_hat, rho, n):
+    # The plug-in threshold sqrt(kappa_hat / (4 rho) * ln n), as the plugin command computes it.
+    return analytic_optimum(CalibrationProblem(rho, kappa_hat, n)).t_star
 
 
 class TestPluginThreshold:

@@ -89,6 +89,12 @@ class TestTemplateRisk:
         with pytest.raises(DomainError):
             CalibrationProblem(rho=1.0, kappa=2.0, n=100, w0=0.0)
 
+    def test_weights_whose_sum_overflows_rejected(self):
+        # risk_star was inf: w0 type1 + w1 type2 overflowed.
+        CalibrationProblem(rho=1.0, kappa=2.0, n=100, w0=8e307, w1=8e307)
+        with pytest.raises(DomainError, match=r"^w0 \+ w1 is not finite"):
+            CalibrationProblem(rho=1.0, kappa=2.0, n=100, w0=1e308, w1=1e308)
+
 
 class TestAnalyticOptimum:
     def test_ks_constant(self):
